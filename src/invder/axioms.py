@@ -1,10 +1,17 @@
-"""Structure axiom checkers.
+"""Every multilinear identity of the package, as one table and one scan.
 
 Every identity handled here is multilinear, so it holds for all vectors iff
-it holds on all basis tuples.  Checkers walk basis tuples in lexicographic
-order and report the first violation as a witness carrying the offending
-indices and both evaluated sides.  Verdicts are computed from the tables
-themselves; a kind hint on the algebra is never trusted.
+it holds on all basis tuples.  Each one is a row of IDENTITIES: two sides
+written as signed sums of products over the variables x, y, z, under named
+operations ("op", or "left" and "right" for a dendriform pair) and named
+linear maps ("d" for delta, "d2" for its square, "R" and "lam" for a
+Rota-Baxter operator and its weight, "P" for an endomorphism).  One scan
+walks basis tuples in lexicographic order and reports the first violation
+as a witness carrying the offending indices and both evaluated sides.  It
+evaluates each proper subterm once per assignment of the variables that
+subterm mentions, so [y, z] costs n^2 products per scan, not n^3.
+Verdicts are computed from the structure constants themselves; a kind
+hint on the algebra is never trusted.
 
 Axiom identifiers form a closed set (AXIOM_IDS).  The ones prefixed with
 "invder" and the two "zinbiel_aux" identities take a linear map delta in
@@ -15,23 +22,201 @@ of the operation and refuses to run otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, product
+from operator import itemgetter
 
 from .errors import InputError
 from .linalg import Vector
-from .model import Algebra, BilinearOp, LinearMap, Sparse, sparse_to_vector
-from .rational import Q, ZERO
+from .model import KINDS, Algebra, BilinearOp, LinearMap, sparse_to_vector
+from .rational import ONE, ZERO
 
-AXIOM_IDS = (
-    "skew_symmetry", "jacobi", "associativity", "pre_lie", "zinbiel",
-    "dendriform_1", "dendriform_2", "dendriform_3", "commutativity",
-    "invder_jacobi", "invder_prelie", "invder_assoc", "invder_zinbiel",
-    "zinbiel_aux_44", "zinbiel_aux_45",
-    "invder_dend_47", "invder_dend_48", "invder_dend_49",
-    "identity_25",
-)
+VARIABLES = ("x", "y", "z")
 
-DELTA_AXIOMS = frozenset(a for a in AXIOM_IDS
-                         if a.startswith(("invder", "zinbiel_aux", "identity")))
+
+class Term:
+    """A variable, a named map of one term, a named operation of two terms,
+    or a signed sum (head "+", one integer coefficient per term).
+
+    The variables a term mentions, and the names it applies with their
+    argument counts, are collected once, when it is built.
+    """
+
+    __slots__ = ("head", "args", "coeffs", "variables", "names")
+
+    def __init__(self, head: str, args: tuple["Term", ...] = (),
+                 coeffs: tuple[int, ...] = ()):
+        self.head, self.args, self.coeffs = head, args, coeffs
+        if head in VARIABLES:
+            self.variables, self.names = frozenset((head,)), frozenset()
+            return
+        self.variables = frozenset().union(*(a.variables for a in args))
+        self.names = frozenset().union(*(a.names for a in args))
+        if head != "+":
+            self.names |= {(head, len(args))}
+
+    def _signed(self) -> tuple[tuple[int, "Term"], ...]:
+        if self.head == "+":
+            return tuple(zip(self.coeffs, self.args))
+        return ((1, self),)
+
+    def __add__(self, other: "Term") -> "Term":
+        return _sum(self._signed() + other._signed())
+
+    def __rmul__(self, c: int) -> "Term":
+        return _sum(tuple((c * k, t) for k, t in self._signed()))
+
+    def __neg__(self) -> "Term":
+        return -1 * self
+
+    def __sub__(self, other: "Term") -> "Term":
+        return self + -other
+
+
+def _sum(signed) -> Term:
+    return Term("+", tuple(t for _, t in signed), tuple(c for c, _ in signed))
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One row of the table: lhs = rhs on every basis tuple.
+
+    bundle names the group the row belongs to: a structure kind for its
+    defining axioms, "invder-" plus the kind for the identities of a map
+    twisting it.  Rows that are not axioms (the Leibniz rule and the other
+    map conditions) are run only through their callers.  An alternating
+    row needs only strictly increasing tuples when the table is skew; a
+    row that needs a derivation refuses maps that are not.
+    """
+
+    id: str
+    lhs: Term
+    rhs: Term
+    bundle: str | None = None
+    axiom: bool = True
+    alternating: bool = False
+    needs_derivation: bool = False
+
+    @cached_property
+    def arity(self) -> int:
+        return len(self.lhs.variables | self.rhs.variables)
+
+    @cached_property
+    def plan(self) -> tuple[tuple, int, int]:
+        """Distinct subterms in evaluation order, and where the sides are.
+
+        Each step is (head, child steps, coefficients, variable positions,
+        cached); a subterm is cached when it mentions fewer variables than
+        the identity, since it then repeats across the scan.
+        """
+        steps: list[tuple] = []
+        seen: dict[tuple, int] = {}
+
+        def visit(t: Term) -> int:
+            kids = tuple(visit(a) for a in t.args)
+            key = (t.head, kids, t.coeffs)
+            if key not in seen:
+                pos = tuple(i for i, v in enumerate(VARIABLES)
+                            if v in t.variables)
+                cached = t.head not in VARIABLES and len(pos) < self.arity
+                seen[key] = len(steps)
+                steps.append((t.head, kids, t.coeffs, pos, cached))
+            return seen[key]
+
+        lhs, rhs = visit(self.lhs), visit(self.rhs)
+        return tuple(steps), lhs, rhs
+
+    @cached_property
+    def ops(self) -> frozenset[str]:
+        return frozenset(h for h, n in self.lhs.names | self.rhs.names
+                         if n == 2)
+
+    @cached_property
+    def maps(self) -> frozenset[str]:
+        return frozenset(h for h, n in self.lhs.names | self.rhs.names
+                         if n == 1)
+
+
+def _table() -> dict[str, Identity]:
+    x, y, z = (Term(v) for v in VARIABLES)
+    zero = Term("+")
+
+    def binary(name):
+        return lambda a, b: Term(name, (a, b))
+
+    def unary(name):
+        return lambda a: Term(name, (a,))
+
+    op, left, right = binary("op"), binary("left"), binary("right")
+    d, d2, R, lam, P = (unary(m) for m in ("d", "d2", "R", "lam", "P"))
+
+    rows = [
+        Identity("skew_symmetry", op(x, y), -op(y, x), "lie"),
+        Identity("jacobi",
+                 op(x, op(y, z)) + op(y, op(z, x)) + op(z, op(x, y)), zero,
+                 "lie", alternating=True),
+        Identity("associativity", op(op(x, y), z), op(x, op(y, z)),
+                 "associative"),
+        # the left associator is symmetric in its first two arguments
+        Identity("pre_lie", op(x, op(y, z)) - op(op(x, y), z),
+                 op(y, op(x, z)) - op(op(y, x), z), "prelie"),
+        Identity("zinbiel", op(x, op(y, z)),
+                 op(op(x, y), z) + op(op(y, x), z), "zinbiel"),
+        Identity("dendriform_1", left(left(x, y), z),
+                 left(x, left(y, z) + right(y, z)), "dendriform"),
+        Identity("dendriform_2", left(right(x, y), z),
+                 right(x, left(y, z)), "dendriform"),
+        Identity("dendriform_3", right(x, right(y, z)),
+                 right(left(x, y) + right(x, y), z), "dendriform"),
+        Identity("commutativity", op(x, y), op(y, x)),
+        Identity("invder_jacobi",
+                 op(d(x), op(y, z)) + op(d(y), op(z, x))
+                 + op(d(z), op(x, y)), zero, "invder-lie"),
+        Identity("invder_prelie", op(d(x), op(y, z)) - op(op(x, y), d(z)),
+                 op(d(y), op(x, z)) - op(op(y, x), d(z)), "invder-prelie"),
+        Identity("invder_assoc", op(d(x), op(y, z)), op(op(x, y), d(z)),
+                 "invder-associative"),
+        Identity("invder_zinbiel", op(d(x), op(y, z)),
+                 op(op(x, y), d(z)) + op(op(y, x), d(z)), "invder-zinbiel"),
+        Identity("zinbiel_aux_44", op(d(x), op(z, y)), op(d(z), op(x, y)),
+                 "invder-zinbiel"),
+        Identity("zinbiel_aux_45", op(op(x, y), d(z)), op(op(x, z), d(y)),
+                 "invder-zinbiel"),
+        Identity("invder_dend_47", left(left(x, y), d(z)),
+                 left(d(x), left(y, z) + right(y, z)), "invder-dendriform"),
+        Identity("invder_dend_48", left(right(x, y), d(z)),
+                 right(d(x), left(y, z)), "invder-dendriform"),
+        Identity("invder_dend_49", right(d(x), right(y, z)),
+                 right(left(x, y) + right(x, y), d(z)), "invder-dendriform"),
+        # the cyclic sums of [x, delta[y, z]] and [delta x, [y, z]] agree
+        Identity("identity_25",
+                 op(x, d(op(y, z))) + op(y, d(op(z, x)))
+                 + op(z, d(op(x, y))),
+                 op(d(x), op(y, z)) + op(d(y), op(z, x))
+                 + op(d(z), op(x, y)), "invder-lie", needs_derivation=True),
+        Identity("leibniz", d(op(x, y)), op(d(x), y) + op(x, d(y)),
+                 axiom=False),
+        # for a derivation; the cross term keeps delta^2 from being one
+        Identity("squared_leibniz", d2(op(x, y)),
+                 op(d2(x), y) + op(x, d2(y)) + 2 * op(d(x), d(y)),
+                 axiom=False),
+        Identity("square_condition", op(d(x), d(y)), d2(op(x, y)),
+                 axiom=False),
+        Identity("rota_baxter", op(R(x), R(y)),
+                 R(op(R(x), y) + op(x, R(y)) + lam(op(x, y))), axiom=False),
+        Identity("multiplicative", P(op(x, y)), op(P(x), P(y)), axiom=False),
+    ]
+    return {row.id: row for row in rows}
+
+
+IDENTITIES = _table()
+
+AXIOM_IDS = tuple(row.id for row in IDENTITIES.values() if row.axiom)
+
+DELTA_AXIOMS = frozenset(a for a in AXIOM_IDS if "d" in IDENTITIES[a].maps)
+
+BUNDLES = {name: tuple(a for a in AXIOM_IDS if IDENTITIES[a].bundle == name)
+           for name in KINDS + tuple(f"invder-{k}" for k in KINDS)}
 
 
 @dataclass(frozen=True)
@@ -65,394 +250,198 @@ class CheckReport:
         return data
 
 
-def _add(*sparses: Sparse) -> Sparse:
-    out: Sparse = {}
-    for s in sparses:
-        for k, v in s.items():
-            out[k] = out.get(k, ZERO) + v
-    return {k: v for k, v in out.items() if v}
+# ---------------------------------------------------------------- the scan
 
 
-def _neg(s: Sparse) -> Sparse:
-    return {k: -v for k, v in s.items()}
+def _variable(units, p):
+    return lambda t: units[t[p]]
 
 
-def _report(axiom: str, dim: int, scan) -> CheckReport:
-    """Run a scan yielding (indices, lhs, rhs) triples; stop at the first gap."""
-    for indices, lhs, rhs in scan:
-        if lhs != rhs:
-            return CheckReport(axiom, False,
-                              Witness(indices,
-                                      sparse_to_vector(dim, lhs),
-                                      sparse_to_vector(dim, rhs)))
-    return CheckReport(axiom, True)
+def _mapped(apply, a):
+    return lambda t: apply(a(t))
 
 
-def _pairs(n: int):
-    return ((i, j) for i in range(n) for j in range(n))
+def _product(mul, a, b):
+    return lambda t: mul(a(t), b(t))
 
 
-def _triples(n: int):
-    return ((i, j, k) for i in range(n) for j in range(n) for k in range(n))
+def _signed_sum(coeffs, parts):
+    pairs = tuple(zip(coeffs, parts))
+
+    def ev(t):
+        out = {}
+        for c, part in pairs:
+            for k, v in part(t).items():
+                out[k] = out.get(k, ZERO) + (v if c == 1 else c * v)
+        return {k: v for k, v in out.items() if v}
+    return ev
 
 
-def check_skew_symmetry(alg: Algebra, op_name: str | None = None) -> CheckReport:
-    op = alg.op(op_name)
-    scan = (((i, j), op.basis_product(i, j), _neg(op.basis_product(j, i)))
-            for i, j in _pairs(alg.dim))
-    return _report("skew_symmetry", alg.dim, scan)
+def _memo(f, pos):
+    key = itemgetter(*pos) if pos else (lambda t: ())
+    memo: dict = {}
+
+    def ev(t):
+        k = key(t)
+        value = memo.get(k)
+        if value is None:
+            value = memo[k] = f(t)
+        return value
+    return ev
 
 
-def check_commutativity(alg: Algebra, op_name: str | None = None) -> CheckReport:
-    op = alg.op(op_name)
-    scan = (((i, j), op.basis_product(i, j), op.basis_product(j, i))
-            for i, j in _pairs(alg.dim))
-    return _report("commutativity", alg.dim, scan)
+def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
+          maps: dict[str, LinearMap], alternating: bool = False
+          ) -> Witness | None:
+    """First basis tuple where the row's sides differ, or None."""
+    units = [{i: ONE} for i in range(dim)]
+    steps, lhs_at, rhs_at = row.plan
+    fns: list = []
+    for head, kids, coeffs, pos, cached in steps:
+        if head in VARIABLES:
+            f = _variable(units, pos[0])
+        elif head == "+":
+            f = _signed_sum(coeffs, [fns[k] for k in kids])
+        elif len(kids) == 1:
+            f = _mapped(maps[head].apply_sparse, fns[kids[0]])
+        else:
+            f = _product(ops[head].mul_sparse, fns[kids[0]], fns[kids[1]])
+        fns.append(_memo(f, pos) if cached else f)
+    lhs, rhs = fns[lhs_at], fns[rhs_at]
+    tuples = combinations(range(dim), row.arity) if alternating \
+        else product(range(dim), repeat=row.arity)
+    for t in tuples:
+        left, right = lhs(t), rhs(t)
+        if left != right:
+            return Witness(t, sparse_to_vector(dim, left),
+                           sparse_to_vector(dim, right))
+    return None
 
 
-def check_jacobi(alg: Algebra, op_name: str | None = None) -> CheckReport:
-    """Cyclic Jacobi sum vanishes.
-
-    For a skew table the sum is alternating, so triples i < j < k suffice;
-    for a non-skew table every triple is checked.
-    """
-    op = alg.op(op_name)
-    n = alg.dim
-    skew = check_skew_symmetry(alg, op_name).holds
-
-    def jac(i, j, k):
-        x, y, z = alg.unit_sparse(i), alg.unit_sparse(j), alg.unit_sparse(k)
-        total = _add(op.mul_sparse(x, op.mul_sparse(y, z)),
-                     op.mul_sparse(y, op.mul_sparse(z, x)),
-                     op.mul_sparse(z, op.mul_sparse(x, y)))
-        return (i, j, k), total, {}
-
-    if skew:
-        triples = ((i, j, k) for i in range(n)
-                   for j in range(i + 1, n) for k in range(j + 1, n))
-    else:
-        triples = _triples(n)
-    return _report("jacobi", n, (jac(i, j, k) for i, j, k in triples))
-
-
-def _triple_scan(alg: Algebra, compute):
-    for i, j, k in _triples(alg.dim):
-        x, y, z = alg.unit_sparse(i), alg.unit_sparse(j), alg.unit_sparse(k)
-        lhs, rhs = compute(x, y, z)
-        yield (i, j, k), lhs, rhs
-
-
-def check_associativity(alg: Algebra, op_name: str | None = None) -> CheckReport:
-    op = alg.op(op_name)
-
-    def compute(x, y, z):
-        return op.mul_sparse(op.mul_sparse(x, y), z), \
-               op.mul_sparse(x, op.mul_sparse(y, z))
-
-    return _report("associativity", alg.dim, _triple_scan(alg, compute))
-
-
-def check_pre_lie(alg: Algebra, op_name: str | None = None) -> CheckReport:
-    """Left associator symmetric in its first two arguments."""
-    op = alg.op(op_name)
-
-    def assoc(x, y, z):
-        return _add(op.mul_sparse(x, op.mul_sparse(y, z)),
-                    _neg(op.mul_sparse(op.mul_sparse(x, y), z)))
-
-    def compute(x, y, z):
-        return assoc(x, y, z), assoc(y, x, z)
-
-    return _report("pre_lie", alg.dim, _triple_scan(alg, compute))
-
-
-def check_zinbiel(alg: Algebra, op_name: str | None = None) -> CheckReport:
-    op = alg.op(op_name)
-
-    def compute(x, y, z):
-        lhs = op.mul_sparse(x, op.mul_sparse(y, z))
-        rhs = _add(op.mul_sparse(op.mul_sparse(x, y), z),
-                   op.mul_sparse(op.mul_sparse(y, x), z))
-        return lhs, rhs
-
-    return _report("zinbiel", alg.dim, _triple_scan(alg, compute))
-
-
-def _dendriform_ops(alg: Algebra) -> tuple[BilinearOp, BilinearOp]:
-    names = set(alg.op_names())
-    if not {"left", "right"} <= names:
-        raise InputError('dendriform checks need ops named "left" and "right"')
-    return alg.op("left"), alg.op("right")
-
-
-def check_dendriform(alg: Algebra) -> tuple[CheckReport, CheckReport, CheckReport]:
-    """The three dendriform axioms, in order."""
-    left, right = _dendriform_ops(alg)
-
-    def ax1(x, y, z):
-        return left.mul_sparse(left.mul_sparse(x, y), z), \
-               left.mul_sparse(x, _add(left.mul_sparse(y, z),
-                                       right.mul_sparse(y, z)))
-
-    def ax2(x, y, z):
-        return left.mul_sparse(right.mul_sparse(x, y), z), \
-               right.mul_sparse(x, left.mul_sparse(y, z))
-
-    def ax3(x, y, z):
-        return right.mul_sparse(x, right.mul_sparse(y, z)), \
-               right.mul_sparse(_add(left.mul_sparse(x, y),
-                                     right.mul_sparse(x, y)), z)
-
-    return (_report("dendriform_1", alg.dim, _triple_scan(alg, ax1)),
-            _report("dendriform_2", alg.dim, _triple_scan(alg, ax2)),
-            _report("dendriform_3", alg.dim, _triple_scan(alg, ax3)))
-
-
-def _check_delta(alg: Algebra, delta: LinearMap) -> None:
-    if delta.dim != alg.dim:
-        raise InputError("map dimension does not match algebra dimension")
-
-
-def check_invder_jacobi(alg: Algebra, op_name: str | None,
-                        delta: LinearMap) -> CheckReport:
-    """Cyclic sum of [delta x, [y, z]] vanishes."""
-    _check_delta(alg, delta)
-    op = alg.op(op_name)
-
-    def compute_triple(i, j, k):
-        x, y, z = alg.unit_sparse(i), alg.unit_sparse(j), alg.unit_sparse(k)
-        total = _add(
-            op.mul_sparse(delta.apply_sparse(x), op.mul_sparse(y, z)),
-            op.mul_sparse(delta.apply_sparse(y), op.mul_sparse(z, x)),
-            op.mul_sparse(delta.apply_sparse(z), op.mul_sparse(x, y)))
-        return (i, j, k), total, {}
-
-    return _report("invder_jacobi", alg.dim,
-                   (compute_triple(i, j, k) for i, j, k in _triples(alg.dim)))
+def identity_witness(identity: str, op: BilinearOp,
+                     **maps: LinearMap) -> Witness | None:
+    """Scan a single-operation row of the table with the maps it names."""
+    return _scan(IDENTITIES[identity], op.dim, {"op": op}, maps)
 
 
 def leibniz_witness(op: BilinearOp, delta: LinearMap) -> Witness | None:
     """First basis pair where delta fails the Leibniz rule, if any."""
-    one = Q(1)
-    for i in range(op.dim):
-        for j in range(op.dim):
-            x, y = {i: one}, {j: one}
-            lhs = delta.apply_sparse(op.mul_sparse(x, y))
-            rhs = _add(op.mul_sparse(delta.apply_sparse(x), y),
-                       op.mul_sparse(x, delta.apply_sparse(y)))
-            if lhs != rhs:
-                return Witness((i, j), sparse_to_vector(op.dim, lhs),
-                               sparse_to_vector(op.dim, rhs))
-    return None
+    return _scan(IDENTITIES["leibniz"], op.dim, {"op": op}, {"d": delta})
 
 
-def check_identity_25(alg: Algebra, op_name: str | None,
-                      delta: LinearMap) -> CheckReport:
-    """Cyclic sum of [x, delta[y, z]] equals cyclic sum of [delta x, [y, z]].
-
-    Requires delta to be a derivation of the operation; this compatibility
-    statement is meaningless otherwise, so non-derivations are rejected.
-    """
-    _check_delta(alg, delta)
-    op = alg.op(op_name)
-    if leibniz_witness(op, delta) is not None:
-        raise InputError("identity_25 requires delta to be a derivation")
-
-    def compute(x, y, z):
-        lhs = _add(op.mul_sparse(x, delta.apply_sparse(op.mul_sparse(y, z))),
-                   op.mul_sparse(y, delta.apply_sparse(op.mul_sparse(z, x))),
-                   op.mul_sparse(z, delta.apply_sparse(op.mul_sparse(x, y))))
-        rhs = _add(op.mul_sparse(delta.apply_sparse(x), op.mul_sparse(y, z)),
-                   op.mul_sparse(delta.apply_sparse(y), op.mul_sparse(z, x)),
-                   op.mul_sparse(delta.apply_sparse(z), op.mul_sparse(x, y)))
-        return lhs, rhs
-
-    return _report("identity_25", alg.dim, _triple_scan(alg, compute))
+# ------------------------------------------------------------ the axioms
 
 
-def check_invder_prelie(alg: Algebra, op_name: str | None,
-                        delta: LinearMap) -> CheckReport:
-    """delta x * (y * z) - (x * y) * delta z, symmetric under swapping x, y."""
-    _check_delta(alg, delta)
-    op = alg.op(op_name)
-
-    def side(x, y, z):
-        return _add(op.mul_sparse(delta.apply_sparse(x), op.mul_sparse(y, z)),
-                    _neg(op.mul_sparse(op.mul_sparse(x, y),
-                                       delta.apply_sparse(z))))
-
-    def compute(x, y, z):
-        return side(x, y, z), side(y, x, z)
-
-    return _report("invder_prelie", alg.dim, _triple_scan(alg, compute))
-
-
-def check_invder_assoc(alg: Algebra, op_name: str | None,
-                       delta: LinearMap) -> CheckReport:
-    _check_delta(alg, delta)
-    op = alg.op(op_name)
-
-    def compute(x, y, z):
-        return op.mul_sparse(delta.apply_sparse(x), op.mul_sparse(y, z)), \
-               op.mul_sparse(op.mul_sparse(x, y), delta.apply_sparse(z))
-
-    return _report("invder_assoc", alg.dim, _triple_scan(alg, compute))
-
-
-def check_invder_zinbiel(alg: Algebra, op_name: str | None,
-                         delta: LinearMap) -> CheckReport:
-    _check_delta(alg, delta)
-    op = alg.op(op_name)
-
-    def compute(x, y, z):
-        lhs = op.mul_sparse(delta.apply_sparse(x), op.mul_sparse(y, z))
-        dz = delta.apply_sparse(z)
-        rhs = _add(op.mul_sparse(op.mul_sparse(x, y), dz),
-                   op.mul_sparse(op.mul_sparse(y, x), dz))
-        return lhs, rhs
-
-    return _report("invder_zinbiel", alg.dim, _triple_scan(alg, compute))
+def _report(alg: Algebra, axiom: str, op_name: str | None,
+            delta: LinearMap | None, holds: dict[str, bool]) -> CheckReport:
+    """Check one axiom; holds collects verdicts already known for the op."""
+    row = IDENTITIES.get(axiom)
+    if row is None or not row.axiom:
+        raise InputError(f"unknown axiom {axiom!r}")
+    maps = {}
+    if "d" in row.maps:
+        if delta is None:
+            raise InputError(f"axiom {axiom!r} needs a map")
+        if delta.dim != alg.dim:
+            raise InputError("map dimension does not match algebra dimension")
+        maps["d"] = delta
+    if "op" in row.ops:
+        ops = {"op": alg.op(op_name)}
+    elif {"left", "right"} <= set(alg.op_names()):
+        ops = {"left": alg.op("left"), "right": alg.op("right")}
+    else:
+        raise InputError('dendriform checks need ops named "left" and "right"')
+    if row.needs_derivation and leibniz_witness(ops["op"], delta) is not None:
+        raise InputError(f"{axiom} requires delta to be a derivation")
+    alternating = False
+    if row.alternating:
+        if "skew_symmetry" not in holds:
+            _report(alg, "skew_symmetry", op_name, None, holds)
+        alternating = holds["skew_symmetry"]
+    witness = _scan(row, alg.dim, ops, maps, alternating)
+    holds[axiom] = witness is None
+    return CheckReport(axiom, witness is None, witness)
 
 
-def check_zinbiel_aux_44(alg: Algebra, op_name: str | None,
-                         delta: LinearMap) -> CheckReport:
-    _check_delta(alg, delta)
-    op = alg.op(op_name)
-
-    def compute(x, y, z):
-        return op.mul_sparse(delta.apply_sparse(x), op.mul_sparse(z, y)), \
-               op.mul_sparse(delta.apply_sparse(z), op.mul_sparse(x, y))
-
-    return _report("zinbiel_aux_44", alg.dim, _triple_scan(alg, compute))
-
-
-def check_zinbiel_aux_45(alg: Algebra, op_name: str | None,
-                         delta: LinearMap) -> CheckReport:
-    _check_delta(alg, delta)
-    op = alg.op(op_name)
-
-    def compute(x, y, z):
-        return op.mul_sparse(op.mul_sparse(x, y), delta.apply_sparse(z)), \
-               op.mul_sparse(op.mul_sparse(x, z), delta.apply_sparse(y))
-
-    return _report("zinbiel_aux_45", alg.dim, _triple_scan(alg, compute))
-
-
-def check_invder_dendriform(alg: Algebra, delta: LinearMap
-                            ) -> tuple[CheckReport, CheckReport, CheckReport]:
-    """Twisted counterparts of the three dendriform axioms, in order."""
-    _check_delta(alg, delta)
-    left, right = _dendriform_ops(alg)
-
-    def d(s):
-        return delta.apply_sparse(s)
-
-    def ax47(x, y, z):
-        return left.mul_sparse(left.mul_sparse(x, y), d(z)), \
-               left.mul_sparse(d(x), _add(left.mul_sparse(y, z),
-                                          right.mul_sparse(y, z)))
-
-    def ax48(x, y, z):
-        return left.mul_sparse(right.mul_sparse(x, y), d(z)), \
-               right.mul_sparse(d(x), left.mul_sparse(y, z))
-
-    def ax49(x, y, z):
-        return right.mul_sparse(d(x), right.mul_sparse(y, z)), \
-               right.mul_sparse(_add(left.mul_sparse(x, y),
-                                     right.mul_sparse(x, y)), d(z))
-
-    return (_report("invder_dend_47", alg.dim, _triple_scan(alg, ax47)),
-            _report("invder_dend_48", alg.dim, _triple_scan(alg, ax48)),
-            _report("invder_dend_49", alg.dim, _triple_scan(alg, ax49)))
-
-
-_PLAIN = {
-    "skew_symmetry": check_skew_symmetry,
-    "jacobi": check_jacobi,
-    "associativity": check_associativity,
-    "pre_lie": check_pre_lie,
-    "zinbiel": check_zinbiel,
-    "commutativity": check_commutativity,
-}
-
-_WITH_DELTA = {
-    "invder_jacobi": check_invder_jacobi,
-    "invder_prelie": check_invder_prelie,
-    "invder_assoc": check_invder_assoc,
-    "invder_zinbiel": check_invder_zinbiel,
-    "zinbiel_aux_44": check_zinbiel_aux_44,
-    "zinbiel_aux_45": check_zinbiel_aux_45,
-    "identity_25": check_identity_25,
-}
-
-_DENDRIFORM_TRIOS = {
-    "dendriform_1": 0, "dendriform_2": 1, "dendriform_3": 2,
-    "invder_dend_47": 0, "invder_dend_48": 1, "invder_dend_49": 2,
-}
+def _reports(alg: Algebra, axioms, op_name: str | None = None,
+             delta: LinearMap | None = None):
+    holds: dict[str, bool] = {}
+    for axiom in axioms:
+        yield _report(alg, axiom, op_name, delta, holds)
 
 
 def run_axiom(alg: Algebra, axiom: str, op_name: str | None = None,
               delta: LinearMap | None = None) -> CheckReport:
     """Dispatch a single axiom check by identifier."""
-    if axiom in _PLAIN:
-        return _PLAIN[axiom](alg, op_name)
-    if axiom in _WITH_DELTA:
-        if delta is None:
-            raise InputError(f"axiom {axiom!r} needs a map")
-        return _WITH_DELTA[axiom](alg, op_name, delta)
-    if axiom in _DENDRIFORM_TRIOS:
-        idx = _DENDRIFORM_TRIOS[axiom]
-        if axiom.startswith("invder"):
-            if delta is None:
-                raise InputError(f"axiom {axiom!r} needs a map")
-            return check_invder_dendriform(alg, delta)[idx]
-        return check_dendriform(alg)[idx]
-    raise InputError(f"unknown axiom {axiom!r}")
+    return _report(alg, axiom, op_name, delta, {})
+
+
+def _plain_check(axiom: str):
+    def check(alg: Algebra, op_name: str | None = None) -> CheckReport:
+        return _report(alg, axiom, op_name, None, {})
+    check.__name__ = check.__qualname__ = f"check_{axiom}"
+    return check
+
+
+def _delta_check(axiom: str):
+    def check(alg: Algebra, op_name: str | None,
+              delta: LinearMap) -> CheckReport:
+        return _report(alg, axiom, op_name, delta, {})
+    check.__name__ = check.__qualname__ = f"check_{axiom}"
+    return check
+
+
+check_skew_symmetry = _plain_check("skew_symmetry")
+check_commutativity = _plain_check("commutativity")
+check_jacobi = _plain_check("jacobi")
+check_associativity = _plain_check("associativity")
+check_pre_lie = _plain_check("pre_lie")
+check_zinbiel = _plain_check("zinbiel")
+check_invder_jacobi = _delta_check("invder_jacobi")
+check_identity_25 = _delta_check("identity_25")
+check_invder_prelie = _delta_check("invder_prelie")
+check_invder_assoc = _delta_check("invder_assoc")
+check_invder_zinbiel = _delta_check("invder_zinbiel")
+check_zinbiel_aux_44 = _delta_check("zinbiel_aux_44")
+check_zinbiel_aux_45 = _delta_check("zinbiel_aux_45")
+
+
+def check_dendriform(alg: Algebra) -> tuple[CheckReport, CheckReport, CheckReport]:
+    """The three dendriform axioms, in order."""
+    return tuple(_reports(alg, BUNDLES["dendriform"]))
+
+
+def check_invder_dendriform(alg: Algebra, delta: LinearMap
+                            ) -> tuple[CheckReport, CheckReport, CheckReport]:
+    """Twisted counterparts of the three dendriform axioms, in order."""
+    return tuple(_reports(alg, BUNDLES["invder-dendriform"], None, delta))
+
+
+def _known_kind(kind: str) -> str:
+    if kind not in KINDS:
+        raise InputError(f"unknown structure kind {kind!r}")
+    return kind
 
 
 def kind_axioms(alg: Algebra, kind: str,
                 op_name: str | None = None) -> list[CheckReport]:
     """Reports for the defining axioms of a structure kind."""
-    if kind == "lie":
-        return [check_skew_symmetry(alg, op_name), check_jacobi(alg, op_name)]
-    if kind == "prelie":
-        return [check_pre_lie(alg, op_name)]
-    if kind == "associative":
-        return [check_associativity(alg, op_name)]
-    if kind == "zinbiel":
-        return [check_zinbiel(alg, op_name)]
-    if kind == "dendriform":
-        return list(check_dendriform(alg))
-    raise InputError(f"unknown structure kind {kind!r}")
+    return list(_reports(alg, BUNDLES[_known_kind(kind)], op_name))
 
 
 def invder_identity_axioms(alg: Algebra, kind: str, delta: LinearMap,
                            op_name: str | None = None) -> list[CheckReport]:
-    """Reports for the twist compatibility identities attached to a kind."""
-    if kind == "lie":
-        return [check_invder_jacobi(alg, op_name, delta)]
-    if kind == "prelie":
-        return [check_invder_prelie(alg, op_name, delta)]
-    if kind == "associative":
-        return [check_invder_assoc(alg, op_name, delta)]
-    if kind == "zinbiel":
-        return [check_invder_zinbiel(alg, op_name, delta),
-                check_zinbiel_aux_44(alg, op_name, delta),
-                check_zinbiel_aux_45(alg, op_name, delta)]
-    if kind == "dendriform":
-        return list(check_invder_dendriform(alg, delta))
-    raise InputError(f"unknown structure kind {kind!r}")
+    """Reports for the twist compatibility identities attached to a kind.
+
+    Identities that presuppose a derivation are left to callers that have
+    established it.
+    """
+    axioms = [a for a in BUNDLES[f"invder-{_known_kind(kind)}"]
+              if not IDENTITIES[a].needs_derivation]
+    return list(_reports(alg, axioms, op_name, delta))
 
 
 def kinds_satisfied(alg: Algebra, op_name: str | None = None) -> tuple[str, ...]:
     """Single-operation kinds whose axioms actually hold for the table."""
-    found = []
-    if check_skew_symmetry(alg, op_name).holds and check_jacobi(alg, op_name).holds:
-        found.append("lie")
-    if check_pre_lie(alg, op_name).holds:
-        found.append("prelie")
-    if check_associativity(alg, op_name).holds:
-        found.append("associative")
-    if check_zinbiel(alg, op_name).holds:
-        found.append("zinbiel")
-    return tuple(found)
+    return tuple(kind for kind in KINDS if kind != "dendriform"
+                 and all(r.holds for r in _reports(alg, BUNDLES[kind], op_name)))

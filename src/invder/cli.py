@@ -2,8 +2,10 @@
 
 Every invocation runs exactly one command and exits with 0 when all
 requested checks passed or an object was produced, 1 when a requested
-mathematical check failed (a verdict, not an error), and 2 on bad input,
-bad usage, or a failed construction precondition.  Results go to stdout,
+mathematical check failed (a verdict, not an error), 2 on bad input,
+bad usage, or a failed construction precondition, and 3 when the program
+itself failed unexpectedly (a bug, never a verdict).  Every algebra file
+is held to the INVDER_MAX_DIM dimension cap.  Results go to stdout,
 diagnostics to stderr.  With identical arguments, input files and seeds
 the output bytes are identical; no command ever modifies its input file.
 """
@@ -15,7 +17,7 @@ import json
 import os
 import sys
 
-from .axioms import AXIOM_IDS, DELTA_AXIOMS, CheckReport, run_axiom
+from .axioms import AXIOM_IDS, BUNDLES, DELTA_AXIOMS, CheckReport, run_axiom
 from .catalog import (FAMILIES, SearchConfig, catalog, counterexample_search,
                       entry, max_dimension, run_property_suite, verify_entry)
 from .constructions import (ConstructionResult, RotaBaxterOp, commutator_lie,
@@ -30,30 +32,10 @@ from .errors import (InputError, InvderError, NotInvDerError,
 from .model import Algebra, AlgebraDocument, LinearMap, load_algebra, save_algebra
 from .rational import parse_rational
 
-BUNDLES = {
-    "lie": ("skew_symmetry", "jacobi"),
-    "prelie": ("pre_lie",),
-    "associative": ("associativity",),
-    "zinbiel": ("zinbiel",),
-    "dendriform": ("dendriform_1", "dendriform_2", "dendriform_3"),
-    "invder-lie": ("invder_jacobi", "identity_25"),
-    "invder-prelie": ("invder_prelie",),
-    "invder-associative": ("invder_assoc",),
-    "invder-zinbiel": ("invder_zinbiel", "zinbiel_aux_44", "zinbiel_aux_45"),
-    "invder-dendriform": ("invder_dend_47", "invder_dend_48", "invder_dend_49"),
-}
-
 TRANSFORMS = (
     "commutator-lie", "rb-prelie-from-lie", "rb-prelie-from-assoc",
     "endo-lie-from-assoc", "zinbiel-to-assoc", "zinbiel-to-lie",
     "dendriform-to-zinbiel", "dendriform-to-assoc", "dendriform-to-prelie",
-)
-
-THEOREM_NAMES = (
-    "thm-2.1", "thm-2.2", "prop-2.1", "prop-2.2", "prop-2.3",
-    "thm-3.4", "prop-3.4", "prop-3.5", "prop-3.6", "thm-3-rbo",
-    "thm-4.2", "prop-4.3", "prop-4.4-4.5", "thm-4-zinbiel-lie",
-    "thm-4-dendriform", "thm-yau", "cor-yau",
 )
 
 
@@ -107,6 +89,17 @@ def _print_reports(reports) -> None:
             print(line)
 
 
+def _load(args) -> AlgebraDocument:
+    """The command's algebra file, refused above the dimension cap."""
+    doc = load_algebra(args.file)
+    cap = max_dimension()
+    if doc.algebra.dim > cap:
+        raise InputError(
+            f"algebra dimension {doc.algebra.dim} exceeds the dimension cap "
+            f"{cap} (INVDER_MAX_DIM)")
+    return doc
+
+
 def _single_op(args) -> list[str] | None:
     return [args.op] if args.op else None
 
@@ -155,7 +148,7 @@ def _construction_output(res: ConstructionResult, args,
 
 
 def cmd_check(args) -> int:
-    doc = load_algebra(args.file)
+    doc = _load(args)
     alg = doc.algebra
     if args.axiom is None:
         if alg.kind_hint is None:
@@ -186,7 +179,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_derivations(args) -> int:
-    doc = load_algebra(args.file)
+    doc = _load(args)
     alg = doc.algebra
     space = derivation_space(alg, _single_op(args))
     if args.json:
@@ -204,7 +197,7 @@ def cmd_derivations(args) -> int:
 
 
 def cmd_invder(args) -> int:
-    doc = load_algebra(args.file)
+    doc = _load(args)
     alg = doc.algebra
     delta = _required_map(doc, args, "the verdict")
     verdict = is_invder(delta, alg, _single_op(args))
@@ -219,13 +212,8 @@ def cmd_invder(args) -> int:
 
 
 def cmd_invder_search(args) -> int:
-    doc = load_algebra(args.file)
+    doc = _load(args)
     alg = doc.algebra
-    cap = max_dimension()
-    if alg.dim > cap:
-        raise InputError(
-            f"algebra dimension {alg.dim} exceeds the search cap {cap} "
-            "(INVDER_MAX_DIM)")
     result = invder_search(alg, _single_op(args),
                            coefficient_range=args.range,
                            max_samples=args.samples, seed=args.seed)
@@ -249,19 +237,23 @@ def cmd_invder_search(args) -> int:
     return 1
 
 
-def cmd_twist(args) -> int:
-    doc = load_algebra(args.file)
-    delta = _required_map(doc, args, "the twist")
+def _twist(doc: AlgebraDocument, args, kind: str | None, why: str
+           ) -> ConstructionResult:
+    delta = _required_map(doc, args, why)
     try:
-        res = twist(doc.algebra, delta, None, args.op, args.force)
+        return twist(doc.algebra, delta, kind, args.op, args.force)
     except NotInvDerError as exc:
         raise NotInvDerError(f"{exc}; rerun with --force to twist anyway")
+
+
+def cmd_twist(args) -> int:
+    res = _twist(_load(args), args, None, "the twist")
     head = f"twisted algebra {res.algebra.name} (kind {res.algebra.kind_hint})"
     return _construction_output(res, args, head)
 
 
 def cmd_transform(args) -> int:
-    doc = load_algebra(args.file)
+    doc = _load(args)
     alg = doc.algebra
     delta = doc.map(args.map) if args.map else None
     name = args.name
@@ -290,7 +282,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_rota_baxter(args) -> int:
-    doc = load_algebra(args.file)
+    doc = _load(args)
     operator = _required_map(doc, args, "the identity")
     weight = _weight(args)
     rep = is_rota_baxter(operator, doc.algebra, args.op, weight)
@@ -305,11 +297,7 @@ def cmd_rota_baxter(args) -> int:
 
 def _theorem_twist(kind: str):
     def run(doc: AlgebraDocument, args):
-        delta = _required_map(doc, args, "the twist statement")
-        try:
-            res = twist(doc.algebra, delta, kind, args.op, args.force)
-        except NotInvDerError as exc:
-            raise NotInvDerError(f"{exc}; rerun with --force to twist anyway")
+        res = _twist(doc, args, kind, "the twist statement")
         return res.ok, {"construction": res.to_dict()}, res.verification
     return run
 
@@ -398,9 +386,11 @@ THEOREMS = {
     "cor-yau": _theorem_yau(None),
 }
 
+THEOREM_NAMES = tuple(THEOREMS)
+
 
 def cmd_verify_theorem(args) -> int:
-    doc = load_algebra(args.file)
+    doc = _load(args)
     ok, payload, reports = THEOREMS[args.name](doc, args)
     if args.json:
         data = {"theorem": args.name, "verified": ok}
@@ -647,6 +637,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a defect here, which must not read as "false"
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}",
+              file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

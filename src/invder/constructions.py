@@ -14,16 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .axioms import (CheckReport, check_associativity, check_commutativity,
-                     check_jacobi, check_pre_lie, check_skew_symmetry,
-                     check_zinbiel, invder_identity_axioms, kind_axioms,
+                     check_jacobi, check_pre_lie, check_zinbiel,
+                     identity_witness, invder_identity_axioms, kind_axioms,
                      leibniz_witness, run_axiom)
-from .derivations import InvDerVerdict, is_derivation, is_invder
+from .derivations import (InvDerVerdict, is_derivation, is_invder,
+                          require_invder)
 from .errors import (CommutationFailureError, InputError, InvderError,
-                     NotIdempotentError, NotInvDerError, NotMultiplicativeError,
+                     NotIdempotentError, NotMultiplicativeError,
                      NotRotaBaxterError, SourceAxiomFailureError,
                      SymmetryPreconditionFailureError)
-from .model import (Algebra, AlgebraDocument, BilinearOp, LinearMap, Sparse,
-                    algebra_to_dict)
+from .model import Algebra, AlgebraDocument, BilinearOp, LinearMap, algebra_to_dict
 from .rational import Q, ZERO
 
 
@@ -65,6 +65,15 @@ def _resolve_single(alg: Algebra, op_name: str | None) -> str:
     return op_name
 
 
+def _kind_op_names(alg: Algebra, kind: str, op_name: str | None) -> list[str]:
+    """The operations a structure of this kind is made of."""
+    if kind == "dendriform":
+        for name in ("left", "right"):
+            alg.op(name)
+        return ["left", "right"]
+    return [_resolve_single(alg, op_name)]
+
+
 def _require_source(reports: list[CheckReport], what: str,
                     force: bool) -> None:
     bad = [r for r in reports if not r.holds]
@@ -79,14 +88,9 @@ def _delta_reports(result: Algebra, kind: str, delta: LinearMap,
     """Derivation reports for the carried map on the constructed algebra."""
     reports = [is_derivation(delta, result)]
     if source_verdict is not None and source_verdict.accepted:
-        inv = delta.inverse()
-        witness = None
-        for _, op in result.ops:
-            witness = leibniz_witness(op, inv)
-            if witness is not None:
-                break
-        reports.append(CheckReport("inverse_derivation", witness is None,
-                                   witness))
+        inverse = is_derivation(delta.inverse(), result)
+        reports.append(CheckReport("inverse_derivation", inverse.holds,
+                                   inverse.witness))
         reports.extend(invder_identity_axioms(result, kind, delta))
     return reports
 
@@ -103,16 +107,9 @@ def twist(alg: Algebra, delta: LinearMap, kind: str | None = None,
     if kind is None:
         raise InputError("twist needs a structure kind, from the algebra "
                          "file or the kind argument")
-    if kind == "dendriform":
-        names = ["left", "right"]
-        for n in names:
-            alg.op(n)
-    else:
-        names = [_resolve_single(alg, op_name)]
-    verdict = is_invder(delta, alg, names)
-    if not verdict.accepted and not force:
-        raise NotInvDerError(
-            f"map is not InvDer for {alg.name!r}: {verdict.to_dict()}")
+    names = _kind_op_names(alg, kind, op_name)
+    verdict = is_invder(delta, alg, names) if force \
+        else require_invder(delta, alg, names)
     twisted = {n: alg.op(n).twist(delta) for n in names}
     out = alg.with_ops(f"{alg.name}.twist", twisted, kind)
     reports = kind_axioms(out, kind)
@@ -167,17 +164,9 @@ def yau_iff_check(alg: Algebra, delta: LinearMap, kind: str | None = None,
     kind = kind or alg.kind_hint
     if kind is None:
         raise InputError("iff check needs a structure kind")
-    if kind == "dendriform":
-        names = ["left", "right"]
-        for n in names:
-            alg.op(n)
-    else:
-        names = [_resolve_single(alg, op_name)]
+    names = _kind_op_names(alg, kind, op_name)
     single = names[0] if len(names) == 1 else None
-    verdict = is_invder(delta, alg, names)
-    if not verdict.accepted:
-        raise NotInvDerError(
-            f"map is not InvDer for {alg.name!r}: {verdict.to_dict()}")
+    verdict = require_invder(delta, alg, names)
     twisted = alg.with_ops(f"{alg.name}.twist",
                            {n: alg.op(n).twist(delta) for n in names}, kind)
     out = YauVerdict(
@@ -207,7 +196,7 @@ def commutator_lie(alg: Algebra, op_name: str | None = None,
     _require_source([check_pre_lie(alg, name)], "pre-Lie", force=False)
     bracket = star - star.opposite()
     out = alg.with_ops(f"{alg.name}.lie", {"bracket": bracket}, "lie")
-    reports = [check_skew_symmetry(out), check_jacobi(out)]
+    reports = kind_axioms(out, "lie")
     verdict = None
     if delta is not None:
         if leibniz_witness(star, delta) is not None:
@@ -248,36 +237,14 @@ def is_rota_baxter(r: LinearMap | RotaBaxterOp, alg: Algebra,
     op = alg.op(op_name)
     if r.dim != alg.dim:
         raise InputError("map dimension does not match algebra dimension")
-    from .axioms import Witness
-    from .model import sparse_to_vector
-    lam = Q(weight)
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            x, y = alg.unit_sparse(i), alg.unit_sparse(j)
-            rx, ry = r.apply_sparse(x), r.apply_sparse(y)
-            lhs = op.mul_sparse(rx, ry)
-            inner: Sparse = {}
-            for part in (op.mul_sparse(rx, y), op.mul_sparse(x, ry)):
-                for k, c in part.items():
-                    inner[k] = inner.get(k, ZERO) + c
-            if lam:
-                for k, c in op.mul_sparse(x, y).items():
-                    inner[k] = inner.get(k, ZERO) + lam * c
-            rhs = r.apply_sparse(inner)
-            if lhs != rhs:
-                return CheckReport("rota_baxter", False,
-                                   Witness((i, j),
-                                           sparse_to_vector(alg.dim, lhs),
-                                           sparse_to_vector(alg.dim, rhs)))
-    return CheckReport("rota_baxter", True)
+    witness = identity_witness("rota_baxter", op, R=r,
+                               lam=LinearMap.identity(alg.dim).scale(weight))
+    return CheckReport("rota_baxter", witness is None, witness)
 
 
 def _require_carried(alg: Algebra, names: list[str], delta: LinearMap,
                      operator: LinearMap) -> InvDerVerdict:
-    verdict = is_invder(delta, alg, names)
-    if not verdict.accepted:
-        raise NotInvDerError(
-            f"carried map is not InvDer for {alg.name!r}: {verdict.to_dict()}")
+    verdict = require_invder(delta, alg, names, "carried map")
     if not delta.commutes_with(operator):
         raise CommutationFailureError(
             "carried map does not commute with the operator")
@@ -360,14 +327,10 @@ def endo_lie_from_assoc(alg: Algebra, endo: LinearMap,
         raise InputError("map dimension does not match algebra dimension")
     if endo.compose(endo) != endo:
         raise NotIdempotentError("operator is not idempotent")
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            x, y = alg.unit_sparse(i), alg.unit_sparse(j)
-            lhs = endo.apply_sparse(mu.mul_sparse(x, y))
-            rhs = mu.mul_sparse(endo.apply_sparse(x), endo.apply_sparse(y))
-            if lhs != rhs:
-                raise NotMultiplicativeError(
-                    f"operator is not multiplicative at ({i}, {j})")
+    witness = identity_witness("multiplicative", mu, P=endo)
+    if witness is not None:
+        raise NotMultiplicativeError(
+            f"operator is not multiplicative at {witness.indices}")
     verdict = None
     if delta is not None:
         verdict = _require_carried(alg, [name], delta, endo)
@@ -376,7 +339,7 @@ def endo_lie_from_assoc(alg: Algebra, endo: LinearMap,
     half = mu.compose_left(endo)
     bracket = half - half.opposite()
     out = alg.with_ops(f"{alg.name}.endo_lie", {"bracket": bracket}, "lie")
-    reports = [check_skew_symmetry(out), check_jacobi(out)]
+    reports = kind_axioms(out, "lie")
     if delta is not None:
         reports.extend(_delta_reports(out, "lie", delta, verdict))
     return ConstructionResult(
@@ -413,7 +376,7 @@ def zinbiel_to_lie(alg: Algebra, op_name: str | None = None,
     verdict = _accepted_or_raise(alg, [name], delta)
     bracket = dia - dia.opposite()
     out = alg.with_ops(f"{alg.name}.lie", {"bracket": bracket}, "lie")
-    reports = [check_skew_symmetry(out), check_jacobi(out)]
+    reports = kind_axioms(out, "lie")
     if delta is not None:
         reports.extend(_delta_reports(out, "lie", delta, verdict))
     return ConstructionResult(out, delta, tuple(reports))
@@ -423,11 +386,7 @@ def _accepted_or_raise(alg: Algebra, names: list[str],
                        delta: LinearMap | None) -> InvDerVerdict | None:
     if delta is None:
         return None
-    verdict = is_invder(delta, alg, names)
-    if not verdict.accepted:
-        raise NotInvDerError(
-            f"carried map is not InvDer for {alg.name!r}: {verdict.to_dict()}")
-    return verdict
+    return require_invder(delta, alg, names, "carried map")
 
 
 def _dendriform_source(alg: Algebra, force: bool) -> tuple[BilinearOp, BilinearOp]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .axioms import CheckReport, Witness, leibniz_witness, _add
+from .axioms import CheckReport, identity_witness, leibniz_witness
 from .errors import InputError, InvderError, NotInvDerError
 from .linalg import Matrix, Vector, solve
 from .model import Algebra, BilinearOp, LinearMap
@@ -52,23 +52,9 @@ def check_squared_leibniz(alg: Algebra, op_name: str | None,
     delta^2 (x y) = (delta^2 x) y + x (delta^2 y) + 2 (delta x)(delta y);
     the cross term is what keeps delta^2 from being a derivation itself.
     """
-    op = alg.op(op_name)
-    d2 = delta.square()
-    for i in range(alg.dim):
-        for j in range(alg.dim):
-            x, y = alg.unit_sparse(i), alg.unit_sparse(j)
-            lhs = d2.apply_sparse(op.mul_sparse(x, y))
-            cross = op.mul_sparse(delta.apply_sparse(x), delta.apply_sparse(y))
-            rhs = _add(op.mul_sparse(d2.apply_sparse(x), y),
-                       op.mul_sparse(x, d2.apply_sparse(y)),
-                       {k: 2 * v for k, v in cross.items()})
-            if lhs != rhs:
-                from .model import sparse_to_vector
-                return CheckReport("squared_leibniz", False,
-                                   Witness((i, j),
-                                           sparse_to_vector(alg.dim, lhs),
-                                           sparse_to_vector(alg.dim, rhs)))
-    return CheckReport("squared_leibniz", True)
+    witness = identity_witness("squared_leibniz", alg.op(op_name),
+                               d=delta, d2=delta.square())
+    return CheckReport("squared_leibniz", witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -181,15 +167,8 @@ class InvDerVerdict:
 
 def _square_condition(delta: LinearMap, ops) -> bool:
     d2 = delta.square()
-    for _, op in ops:
-        for i in range(op.dim):
-            for j in range(op.dim):
-                x, y = {i: Q(1)}, {j: Q(1)}
-                lhs = op.mul_sparse(delta.apply_sparse(x), delta.apply_sparse(y))
-                rhs = d2.apply_sparse(op.mul_sparse(x, y))
-                if lhs != rhs:
-                    return False
-    return True
+    return all(identity_witness("square_condition", op, d=delta, d2=d2) is None
+               for _, op in ops)
 
 
 def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
@@ -213,6 +192,16 @@ def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
     return InvDerVerdict(deriv, invertible, inverse_deriv, square)
 
 
+def require_invder(delta: LinearMap, alg: Algebra, op_names=None,
+                   what: str = "map") -> InvDerVerdict:
+    """The verdict of an accepted map; NotInvDerError for any other."""
+    verdict = is_invder(delta, alg, op_names)
+    if not verdict.accepted:
+        raise NotInvDerError(
+            f"{what} is not InvDer for {alg.name!r}: {verdict.to_dict()}")
+    return verdict
+
+
 @dataclass(frozen=True)
 class InvDerAlgebra:
     """An algebra packaged with an accepted InvDer map and its inverse."""
@@ -223,10 +212,7 @@ class InvDerAlgebra:
 
     @staticmethod
     def create(alg: Algebra, delta: LinearMap) -> "InvDerAlgebra":
-        verdict = is_invder(delta, alg)
-        if not verdict.accepted:
-            raise NotInvDerError(
-                f"map is not InvDer for {alg.name!r}: {verdict.to_dict()}")
+        require_invder(delta, alg)
         return InvDerAlgebra(alg, delta, delta.inverse())
 
 

@@ -277,7 +277,8 @@ class LinearMap:
 
     @staticmethod
     def from_column_strings(cols, dim: int) -> "LinearMap":
-        if len(cols) != dim or any(len(c) != dim for c in cols):
+        if not isinstance(cols, list) or len(cols) != dim \
+                or any(not isinstance(c, list) or len(c) != dim for c in cols):
             raise InputError("map must be a square array of columns")
         return LinearMap.from_columns([[parse_rational(v) for v in col]
                                        for col in cols])
@@ -371,15 +372,25 @@ class AlgebraDocument:
         return tuple(name for name, _ in self.maps)
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_table(dim: int, spec: dict) -> BilinearOp:
-    if not isinstance(spec, dict) or "table" not in spec:
+    if not isinstance(spec, dict) or not isinstance(spec.get("table"), list):
         raise InputError('operation spec must be an object with a "table" list')
-    skew = bool(spec.get("skew", False))
+    skew = spec.get("skew", False)
+    if not isinstance(skew, bool):
+        raise InputError(f'"skew" must be true or false, got {skew!r}')
     table: dict[tuple[int, int], list] = {}
     for row in spec["table"]:
         try:
-            i, j = int(row["i"]), int(row["j"])
-            pairs = [(int(k), parse_rational(coeff)) for coeff, k in row["v"]]
+            i, j = _int(row["i"], "table index"), _int(row["j"], "table index")
+            pairs = [(_int(k, "basis index"), parse_rational(coeff))
+                     for coeff, k in row["v"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed table row: {row!r}") from exc
         if (i, j) in table:
@@ -400,11 +411,15 @@ def algebra_from_dict(data: dict) -> AlgebraDocument:
         raise InputError("algebra file must be a JSON object")
     try:
         name = data["name"]
-        dim = int(data["dimension"])
-        basis = list(data["basis"])
+        dim = _int(data["dimension"], "dimension")
+        basis = data["basis"]
         op_specs = data["operations"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError("algebra file needs name, dimension, basis, operations") from exc
+    if not isinstance(name, str):
+        raise InputError(f"name must be a string, got {name!r}")
+    if not isinstance(basis, list):
+        raise InputError("basis must be a list of labels")
     if dim < 1:
         raise InputError("algebra dimension must be at least 1")
     if len(basis) != dim:
@@ -413,9 +428,12 @@ def algebra_from_dict(data: dict) -> AlgebraDocument:
         raise InputError("operations must be a non-empty object")
     ops = {op_name: _parse_table(dim, spec) for op_name, spec in op_specs.items()}
     kind = data.get("kind")
-    algebra = Algebra.build(str(name), [str(b) for b in basis], ops, kind)
+    algebra = Algebra.build(name, [str(b) for b in basis], ops, kind)
+    map_specs = data.get("maps", {})
+    if not isinstance(map_specs, dict):
+        raise InputError("maps must be an object of named column lists")
     maps = {}
-    for map_name, cols in data.get("maps", {}).items():
+    for map_name, cols in map_specs.items():
         maps[str(map_name)] = LinearMap.from_column_strings(cols, dim)
     return AlgebraDocument.build(algebra, maps)
 
@@ -448,7 +466,8 @@ def load_algebra(path: str) -> AlgebraDocument:
             data = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, an integer beyond the digit limit, or nesting too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     return algebra_from_dict(data)
 

@@ -26,7 +26,11 @@ def parse_rational(text: str) -> Q:
     """Parse "p/q" or "p" (lowest terms not required on input)."""
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise InputError(f"not a rational coefficient: {text!r}")
-    return Q(text.strip())
+    try:
+        return Q(text.strip())
+    except ValueError as exc:  # beyond the interpreter's int-string digit limit
+        raise InputError(f"rational coefficient too long: {len(text)} "
+                         "characters") from exc
 
 
 def format_rational(value: Q) -> str:

@@ -4,10 +4,11 @@ from fractions import Fraction as Q
 import pytest
 
 from invder import (AXIOM_IDS, DELTA_AXIOMS, Algebra, BilinearOp, LinearMap,
-                    check_dendriform, check_identity_25, check_invder_jacobi,
-                    check_jacobi, check_skew_symmetry, check_squared_leibniz,
-                    check_zinbiel, entry, invder_identity_axioms, kind_axioms,
-                    kinds_satisfied, leibniz_witness, run_axiom)
+                    check_associativity, check_dendriform, check_identity_25,
+                    check_invder_jacobi, check_jacobi, check_skew_symmetry,
+                    check_squared_leibniz, check_zinbiel, entry,
+                    invder_identity_axioms, kind_axioms, kinds_satisfied,
+                    leibniz_witness, run_axiom)
 from invder.errors import InputError
 
 
@@ -166,3 +167,49 @@ class TestReportShape:
         data = rep.to_dict()
         assert data["holds"] is False
         assert data["witness"]["indices"] == [0, 1, 2]
+
+
+class TestTable:
+    def test_bundles_and_map_axioms_are_views_of_the_table(self):
+        from invder.axioms import BUNDLES, IDENTITIES
+        assert list(BUNDLES) == [
+            "lie", "prelie", "associative", "zinbiel", "dendriform",
+            "invder-lie", "invder-prelie", "invder-associative",
+            "invder-zinbiel", "invder-dendriform"]
+        assert BUNDLES["lie"] == ("skew_symmetry", "jacobi")
+        assert BUNDLES["invder-lie"] == ("invder_jacobi", "identity_25")
+        assert DELTA_AXIOMS == {a for a in AXIOM_IDS
+                                if a.startswith(("invder", "zinbiel_aux",
+                                                 "identity"))}
+        assert set(AXIOM_IDS) < set(IDENTITIES)
+        assert all(IDENTITIES[a].arity == (2 if a in ("skew_symmetry",
+                                                       "commutativity") else 3)
+                   for a in AXIOM_IDS)
+
+    def test_proper_subterms_are_evaluated_once_per_assignment(self,
+                                                               monkeypatch):
+        calls = []
+        original = BilinearOp.mul_sparse
+
+        def counted(self, x, y):
+            calls.append(1)
+            return original(self, x, y)
+
+        monkeypatch.setattr(BilinearOp, "mul_sparse", counted)
+        assert check_associativity(entry("abelian_3").algebra).holds
+        # (x y) z and x (y z) once per triple; x y and y z once per pair
+        assert len(calls) == 2 * 27 + 2 * 9
+
+    def test_lie_bundle_scans_skew_symmetry_once(self, monkeypatch):
+        calls = []
+        original = BilinearOp.mul_sparse
+
+        def counted(self, x, y):
+            calls.append(1)
+            return original(self, x, y)
+
+        monkeypatch.setattr(BilinearOp, "mul_sparse", counted)
+        kind_axioms(entry("abelian_3").algebra, "lie")
+        # skew symmetry: 2 per pair, scanned once; Jacobi: the one triple
+        # i < j < k, with its 3 inner and 3 outer products
+        assert len(calls) == 2 * 9 + 6

@@ -101,6 +101,77 @@ class TestInputErrors:
         assert code == 2
 
 
+def _long_coefficient(doc):
+    doc["maps"]["delta_w"][0][0] = "1" + "0" * 5000
+
+
+MALFORMED = {
+    "maps-not-object": lambda doc: doc.update(maps="x"),
+    "map-coefficient-too-long": pytest.param(
+        _long_coefficient,
+        marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="interpreter has no digit limit")),
+    "fractional-index": lambda doc: doc["operations"]["bracket"]["table"][0]
+    .update(i=0.5),
+    "skew-not-boolean": lambda doc: doc["operations"]["bracket"].update(
+        skew="no"),
+    "dimension-boolean": lambda doc: doc.update(
+        dimension=True, basis=["e1"], maps={},
+        operations={"bracket": {"table": []}}),
+    "name-null": lambda doc: doc.update(name=None),
+    "basis-object": lambda doc: doc.update(
+        basis={"e1": 0, "e2": 1, "e3": 2}),
+}
+
+
+@pytest.mark.parametrize("mutate", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_file_is_an_input_error(capsys, tmp_path, mutate):
+    doc = {"name": "heisenberg3", "dimension": 3, "basis": ["e1", "e2", "e3"],
+           "kind": "lie",
+           "operations": {"bracket": {"skew": True, "table": [
+               {"i": 0, "j": 1, "v": [["1", 2]]}]}},
+           "maps": {"delta_w": [["1", "3", "0"], ["-1", "1", "0"],
+                                ["0", "0", "2"]]}}
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_file_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text('{"name": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_crash_exits_three_not_one(capsys, algebra_dir, monkeypatch):
+    import invder.cli
+
+    def boom(args):
+        raise RuntimeError("simulated defect\nsecond line")
+
+    monkeypatch.setattr(invder.cli, "cmd_check", boom)
+    code, out, err = run(capsys, "check", path(algebra_dir, "so3"))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: simulated defect second line\n"
+
+
+def test_dimension_cap_applies_to_every_file_command(capsys, algebra_dir,
+                                                     monkeypatch):
+    monkeypatch.setenv("INVDER_MAX_DIM", "3")
+    code, out, err = run(capsys, "derivations",
+                         path(algebra_dir, "filiform_n4"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: algebra dimension 4 exceeds")
+
+
 class TestInvderVerdict:
     def test_accepted_map(self, capsys, algebra_dir):
         code, out, _ = run(capsys, "invder", path(algebra_dir, "heisenberg3"),
