@@ -77,7 +77,6 @@ def _sum(signed) -> Term:
     return Term("+", tuple(t for _, t in signed), tuple(c for c, _ in signed))
 
 
-@dataclass(frozen=True)
 class Identity:
     """One row of the table: lhs = rhs on every basis tuple.
 
@@ -86,20 +85,20 @@ class Identity:
     twisting it.  Rows that are not axioms (the Leibniz rule and the other
     map conditions) are run only through their callers.  An alternating
     row needs only strictly increasing tuples when the table is skew; a
-    row that needs a derivation refuses maps that are not.
+    row that needs a derivation refuses maps that are not.  The arity and
+    the operations and maps a row names are read off its two sides.
     """
 
-    id: str
-    lhs: Term
-    rhs: Term
-    bundle: str | None = None
-    axiom: bool = True
-    alternating: bool = False
-    needs_derivation: bool = False
-
-    @cached_property
-    def arity(self) -> int:
-        return len(self.lhs.variables | self.rhs.variables)
+    def __init__(self, id: str, lhs: Term, rhs: Term,
+                 bundle: str | None = None, *, axiom: bool = True,
+                 alternating: bool = False, needs_derivation: bool = False):
+        self.id, self.lhs, self.rhs, self.bundle = id, lhs, rhs, bundle
+        self.axiom, self.alternating = axiom, alternating
+        self.needs_derivation = needs_derivation
+        names = lhs.names | rhs.names
+        self.arity = len(lhs.variables | rhs.variables)
+        self.ops = frozenset(h for h, n in names if n == 2)
+        self.maps = frozenset(h for h, n in names if n == 1)
 
     @cached_property
     def plan(self) -> tuple[tuple, int, int]:
@@ -125,16 +124,6 @@ class Identity:
 
         lhs, rhs = visit(self.lhs), visit(self.rhs)
         return tuple(steps), lhs, rhs
-
-    @cached_property
-    def ops(self) -> frozenset[str]:
-        return frozenset(h for h, n in self.lhs.names | self.rhs.names
-                         if n == 2)
-
-    @cached_property
-    def maps(self) -> frozenset[str]:
-        return frozenset(h for h, n in self.lhs.names | self.rhs.names
-                         if n == 1)
 
 
 def _table() -> dict[str, Identity]:
