@@ -111,8 +111,8 @@ MALFORMED = {
         _long_coefficient,
         marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                                  reason="interpreter has no digit limit")),
-    "fractional-index": lambda doc: doc["operations"]["bracket"]["table"][0]
-    .update(i=0.5),
+    "fractional-index": lambda doc: doc["operations"]["bracket"][
+        "table"][0].update(i=0.5),
     "skew-not-boolean": lambda doc: doc["operations"]["bracket"].update(
         skew="no"),
     "dimension-boolean": lambda doc: doc.update(
