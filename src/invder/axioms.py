@@ -29,7 +29,6 @@ from operator import itemgetter
 from .errors import InputError
 from .linalg import Vector
 from .model import KINDS, Algebra, BilinearOp, LinearMap, sparse_to_vector
-from .rational import ONE, ZERO
 
 VARIABLES = ("x", "y", "z")
 
@@ -261,7 +260,7 @@ def _signed_sum(coeffs, parts):
         out = {}
         for c, part in pairs:
             for k, v in part(t).items():
-                out[k] = out.get(k, ZERO) + (v if c == 1 else c * v)
+                out[k] = out.get(k, 0) + (v if c == 1 else c * v)
         return {k: v for k, v in out.items() if v}
     return ev
 
@@ -282,8 +281,12 @@ def _memo(f, pos):
 def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
           maps: dict[str, LinearMap], alternating: bool = False
           ) -> Witness | None:
-    """First basis tuple where the row's sides differ, or None."""
-    units = [{i: ONE} for i in range(dim)]
+    """First basis tuple where the row's sides differ, or None.
+
+    The evaluation runs on the lean scalars of the sparse kernels (ints
+    where integral); the witness converts both sides back to Fractions.
+    """
+    units = [{i: 1} for i in range(dim)]
     steps, lhs_at, rhs_at = row.plan
     fns: list = []
     for head, kids, coeffs, pos, cached in steps:

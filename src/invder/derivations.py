@@ -18,11 +18,12 @@ import random
 from dataclasses import dataclass
 
 from .axioms import CheckReport, identity_witness, leibniz_witness
-from .errors import InputError, InvderError, NotInvDerError
+from .errors import (InputError, InvderError, NotInvDerError,
+                     SingularMatrixError)
 from .linalg import Matrix, Vector, solve
 from .model import Algebra, BilinearOp, LinearMap
 from .poly import Poly, det_poly
-from .rational import Q, ZERO
+from .rational import Q, ZERO, lean
 
 VANISHING_DET = "generic determinant vanishes"
 
@@ -70,15 +71,19 @@ class DerivationSpace:
         return len(self.basis)
 
     def combination(self, coeffs) -> LinearMap:
+        """The map sum of c_t basis_t, accumulated in one pass."""
         coeffs = [Q(c) for c in coeffs]
         if len(coeffs) != self.dim:
             raise InputError("coefficient count does not match space dimension")
         n = self.algebra.dim
-        total = Matrix.zeros(n, n)
+        total = [0] * (n * n)  # lean scalars, as in the sparse kernels
         for c, b in zip(coeffs, self.basis):
             if c:
-                total = total + b.matrix.scale(c)
-        return LinearMap(total)
+                c = lean(c)
+                for j in range(n):
+                    for i, v in b.column_sparse(j).items():
+                        total[i * n + j] += c * v
+        return LinearMap(Matrix(n, n, tuple(Q(v) for v in total)))
 
     def coordinates_of(self, candidate: LinearMap) -> Vector | None:
         """Coordinates of a map in this basis, or None when outside the span."""
@@ -136,7 +141,8 @@ def derivation_space(alg: Algebra, op_names=None) -> DerivationSpace:
             Q(1) if e == idx else ZERO for e in range(n * n))))
             for idx in range(n * n))
     else:
-        kernel = Matrix.from_rows(rows).kernel_basis()
+        kernel = Matrix(len(rows), n * n,
+                        tuple(v for row in rows for v in row)).kernel_basis()
         basis = tuple(LinearMap(Matrix(n, n, v.entries)) for v in kernel)
     return DerivationSpace(alg, tuple(name for name, _ in selected), basis)
 
@@ -177,12 +183,14 @@ def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
         raise InputError("map dimension does not match algebra dimension")
     ops = _selected_ops(alg, op_names)
     deriv = all(leibniz_witness(op, delta) is None for _, op in ops)
-    invertible = delta.is_invertible()
-    square = _square_condition(delta, ops)
-    inverse_deriv = False
-    if invertible:
+    try:
         inv = delta.inverse()
-        inverse_deriv = all(leibniz_witness(op, inv) is None for _, op in ops)
+    except SingularMatrixError:
+        inv = None
+    invertible = inv is not None
+    square = _square_condition(delta, ops)
+    inverse_deriv = invertible and all(leibniz_witness(op, inv) is None
+                                       for _, op in ops)
     if deriv and invertible and inverse_deriv != square:
         # the two characterisations are provably equivalent for invertible
         # derivations; disagreement means a defect in this package

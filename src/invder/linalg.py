@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, SingularMatrixError
-from .rational import ONE, ZERO, Q
+from .rational import ONE, ZERO, Q, lean
 
 
 @dataclass(frozen=True)
@@ -145,17 +145,20 @@ class Matrix:
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
+        # lean scalars inside, so integral products stay int arithmetic
+        b = [lean(v) for v in other.entries]
+        width = other.cols
         out = []
         for i in range(self.rows):
-            base = i * self.cols
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    a = self.entries[base + k]
-                    if a:
-                        acc += a * other.entries[k * other.cols + j]
-                out.append(acc)
-        return Matrix(self.rows, other.cols, tuple(out))
+            row = [(k * width, lean(a)) for k, a in
+                   enumerate(self.entries[i * self.cols:(i + 1) * self.cols])
+                   if a]
+            for j in range(width):
+                acc = 0
+                for base, a in row:
+                    acc += a * b[base + j]
+                out.append(Q(acc))
+        return Matrix(self.rows, width, tuple(out))
 
     def apply(self, v: Vector) -> Vector:
         if self.cols != len(v):
@@ -181,26 +184,41 @@ class Matrix:
         return all(a == 0 for a in self.entries)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the tuple of pivot columns."""
+        """Reduced row echelon form and the tuple of pivot columns.
+
+        Only the nonzero cells of the pivot row take part in an update, so
+        the mostly zero Leibniz systems and augmented identities cost what
+        their nonzero entries cost.  The form is unique, so the result does
+        not depend on the order of the updates.
+        """
         m = self.row_lists()
         pivots: list[int] = []
         r = 0
         for c in range(self.cols):
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
+            pivot_row = next((i for i in range(r, self.rows) if m[i][c]), None)
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = ONE / m[r][c]
-            m[r] = [inv * v for v in m[r]]
+            row = m[r]
+            # cells left of the pivot are already zero
+            cells = [(j, row[j]) for j in range(c, self.cols) if row[j]]
+            if row[c] != 1:
+                inv = ONE / row[c]
+                cells = [(j, inv * v) for j, v in cells]
+                for j, v in cells:
+                    row[j] = v
             for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                if f and i != r:
+                    other = m[i]
+                    for j, v in cells:
+                        other[j] -= f * v
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return Matrix.from_rows(m), tuple(pivots)
+        return Matrix(self.rows, self.cols,
+                      tuple(v for row in m for v in row)), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -227,18 +245,22 @@ class Matrix:
         sign = ONE
         result = ONE
         for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
             if pivot_row is None:
                 return ZERO
             if pivot_row != c:
                 m[c], m[pivot_row] = m[pivot_row], m[c]
                 sign = -sign
-            result *= m[c][c]
-            inv = ONE / m[c][c]
+            row = m[c]
+            result *= row[c]
+            inv = ONE / row[c]
+            cells = [(j, row[j]) for j in range(c + 1, n) if row[j]]
             for i in range(c + 1, n):
-                if m[i][c] != 0:
+                if m[i][c]:
                     f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+                    other = m[i]
+                    for j, v in cells:
+                        other[j] -= f * v
         return sign * result
 
     def invert(self) -> "Matrix":
@@ -246,9 +268,11 @@ class Matrix:
         if not self.is_square:
             raise InputError("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(self.entries[i * n:(i + 1) * n]) +
-               [ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-        reduced, pivots = Matrix.from_rows(aug).rref()
+        aug = Matrix(n, 2 * n, tuple(
+            v for i in range(n)
+            for v in (*self.entries[i * n:(i + 1) * n],
+                      *(ONE if j == i else ZERO for j in range(n)))))
+        reduced, pivots = aug.rref()
         if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
             raise SingularMatrixError("matrix is singular")
         return Matrix(n, n, tuple(reduced.entry(i, n + j)

@@ -20,6 +20,13 @@ The on-disk format is JSON:
 Each map is stored as a list of columns.  A table flagged "skew" may list
 only pairs with i < j; the loader fills in the transposed pairs with negated
 coefficients.  Coefficients are exact rational strings.
+
+The sparse kernels (mul_sparse, apply_sparse and the scans built on them)
+run on lean scalars: a value is held as an int when it is integral and as
+a Fraction otherwise, so products of integral tables never pay for
+Fraction arithmetic.  Every value that leaves the kernels (matrix and
+vector entries, structure constants, table entries, witnesses) is a
+Fraction again.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import Matrix, Vector
-from .rational import ZERO, Q, format_rational, parse_rational
+from .rational import ZERO, Q, format_rational, lean, parse_rational
 
 KINDS = ("lie", "prelie", "associative", "zinbiel", "dendriform")
 
@@ -79,12 +86,14 @@ class BilinearOp:
         return dict(self.constants)
 
     def entry(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        return self._index().get((i, j), ())
+        return tuple((k, Q(c)) for k, c in self._index().get((i, j), ()))
 
     def _index(self) -> ConstantTable:
+        """The table keyed by pair, with lean coefficients."""
         cached = getattr(self, "_idx", None)
         if cached is None:
-            cached = dict(self.constants)
+            cached = {key: tuple((k, lean(c)) for k, c in pairs)
+                      for key, pairs in self.constants}
             object.__setattr__(self, "_idx", cached)
         return cached
 
@@ -103,6 +112,11 @@ class BilinearOp:
         return sparse_to_vector(self.dim, self.mul_sparse(sx, sy))
 
     def mul_sparse(self, x: Sparse, y: Sparse) -> Sparse:
+        """Product of two sparse vectors, nonzero coordinates only.
+
+        A kernel: the result holds lean scalars, int wherever a value is
+        integral, so it is exact but not always a Fraction.
+        """
         idx = self._index()
         out: Sparse = {}
         for i, xi in x.items():
@@ -111,7 +125,7 @@ class BilinearOp:
                 if pairs:
                     f = xi * yj
                     for k, c in pairs:
-                        out[k] = out.get(k, ZERO) + f * c
+                        out[k] = out.get(k, 0) + f * c
         return {k: v for k, v in out.items() if v}
 
     def opposite(self) -> "BilinearOp":
@@ -227,17 +241,23 @@ class LinearMap:
         return self.matrix.apply(v)
 
     def apply_sparse(self, x: Sparse) -> Sparse:
+        """Image of a sparse vector, nonzero coordinates only.
+
+        A kernel like BilinearOp.mul_sparse: the result holds lean
+        scalars, int wherever a value is integral.
+        """
         out: Sparse = {}
         for j, xj in x.items():
             for i, m in self.column_sparse(j).items():
-                out[i] = out.get(i, ZERO) + xj * m
+                out[i] = out.get(i, 0) + xj * m
         return {k: v for k, v in out.items() if v}
 
     def column_sparse(self, j: int) -> Sparse:
+        """Nonzero entries of column j, as lean scalars."""
         cols = getattr(self, "_cols", None)
         if cols is None:
             cols = tuple(
-                {i: self.matrix.entry(i, j) for i in range(self.dim)
+                {i: lean(self.matrix.entry(i, j)) for i in range(self.dim)
                  if self.matrix.entry(i, j)}
                 for j in range(self.dim))
             object.__setattr__(self, "_cols", cols)
@@ -285,7 +305,8 @@ class LinearMap:
 
 
 def sparse_to_vector(dim: int, s: Sparse) -> Vector:
-    return Vector(tuple(s.get(i, ZERO) for i in range(dim)))
+    """Dense Fraction vector of a sparse one, lean scalars included."""
+    return Vector(tuple(Q(s[i]) if i in s else ZERO for i in range(dim)))
 
 
 def vector_to_sparse(v: Vector) -> Sparse:

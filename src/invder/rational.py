@@ -1,10 +1,17 @@
 """Exact rational scalars.
 
-The scalar type is the standard library Fraction, aliased as Q.  Fractions
-are always kept in lowest terms with a positive denominator, and str() on a
-Fraction already produces the canonical wire format: "p/q", or just "p" when
-the denominator is one.  The helpers below add strict parsing so malformed
-coefficient strings in input files fail loudly instead of being coerced.
+The public scalar type is the standard library Fraction, aliased as Q.
+Fractions are always kept in lowest terms with a positive denominator, and
+str() on a Fraction already produces the canonical wire format: "p/q", or
+just "p" when the denominator is one.  The helpers below add strict parsing
+so malformed coefficient strings in input files fail loudly instead of
+being coerced.
+
+Inside the sparse kernels of model and axioms a scalar is lean: an int when
+it is integral, a Fraction otherwise (see lean).  Sums there start at the
+int 0 and never divide, so integral tables and maps run on int arithmetic
+alone and stay exact; a value is turned back into a Fraction with Q where
+it leaves a kernel.
 """
 
 from __future__ import annotations
@@ -20,6 +27,11 @@ ZERO = Q(0)
 ONE = Q(1)
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+
+
+def lean(value: Q) -> int | Q:
+    """The kernel form of a scalar: its numerator when it is integral."""
+    return value.numerator if value.denominator == 1 else value
 
 
 def parse_rational(text: str) -> Q:
