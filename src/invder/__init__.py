@@ -25,7 +25,8 @@ from .constructions import (ConstructionResult, RotaBaxterOp, YauVerdict,
                             dendriform_to_prelie, dendriform_to_zinbiel,
                             endo_lie_from_assoc, is_rota_baxter,
                             rb_prelie_from_assoc, rb_prelie_from_lie, twist,
-                            yau_iff_check, zinbiel_to_assoc, zinbiel_to_lie)
+                            twist_by, yau_from_twist, yau_iff_check,
+                            zinbiel_to_assoc, zinbiel_to_lie)
 from .derivations import (DerivationSpace, InvDerAlgebra, InvDerSearchResult,
                           InvDerVerdict, check_squared_leibniz,
                           derivation_space, generic_determinant,
@@ -58,8 +59,8 @@ __all__ = [
     "ConstructionResult", "RotaBaxterOp", "YauVerdict", "commutator_lie",
     "commutes", "dendriform_to_assoc", "dendriform_to_prelie",
     "dendriform_to_zinbiel", "endo_lie_from_assoc", "is_rota_baxter",
-    "rb_prelie_from_assoc", "rb_prelie_from_lie", "twist", "yau_iff_check",
-    "zinbiel_to_assoc", "zinbiel_to_lie",
+    "rb_prelie_from_assoc", "rb_prelie_from_lie", "twist", "twist_by",
+    "yau_from_twist", "yau_iff_check", "zinbiel_to_assoc", "zinbiel_to_lie",
     "DerivationSpace", "InvDerAlgebra", "InvDerSearchResult",
     "InvDerVerdict", "check_squared_leibniz", "derivation_space",
     "generic_determinant", "invder_search", "is_derivation", "is_invder",

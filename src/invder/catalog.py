@@ -18,7 +18,7 @@ from typing import Callable
 
 from .axioms import (check_dendriform, check_identity_25, check_jacobi,
                      invder_identity_axioms, kind_axioms, kinds_satisfied)
-from .constructions import is_rota_baxter, twist, yau_iff_check
+from .constructions import is_rota_baxter, twist_by, yau_from_twist
 from .derivations import derivation_space, invder_search, is_invder
 from .errors import InputError, InvderError
 from .model import (Algebra, AlgebraDocument, BilinearOp, LinearMap)
@@ -398,6 +398,7 @@ def run_property_suite(seed: int = 0, samples: int = 100) -> SuiteReport:
     for e in catalog():
         alg = e.algebra
         kind = alg.kind_hint
+        source_holds = None  # the kind axioms of alg, scanned once if needed
         rng = random.Random(f"{seed}:{e.id}")
         candidates: list[tuple[str, LinearMap]] = list(e.document.maps)
         if e.invder_family is not None:
@@ -423,12 +424,15 @@ def run_property_suite(seed: int = 0, samples: int = 100) -> SuiteReport:
             if verdict.accepted and kind is not None:
                 accepted_pairs += 1
                 try:
-                    res = twist(alg, m, kind)
+                    res = twist_by(alg, m, kind, verdict)
                     for rep in res.verification:
                         record(e.id, label, f"twist:{rep.axiom}", rep.holds,
                                True,
                                rep.witness.indices if rep.witness else None)
-                    yv = yau_iff_check(alg, m, kind)
+                    if source_holds is None:
+                        source_holds = all(r.holds
+                                           for r in kind_axioms(alg, kind))
+                    yv = yau_from_twist(alg, kind, source_holds, verdict, res)
                     record(e.id, label, "yau_iff",
                            yv.forward == yv.backward, True)
                     for rep in invder_identity_axioms(alg, kind, m):
@@ -444,7 +448,7 @@ def run_property_suite(seed: int = 0, samples: int = 100) -> SuiteReport:
                     record(e.id, label, f"internal:{exc}", False, True)
             elif verdict.is_derivation and not verdict.accepted \
                     and kind is not None and label in dict(e.document.maps):
-                forced = twist(alg, m, kind, force=True)
+                forced = twist_by(alg, m, kind, verdict)
                 for rep in forced.verification:
                     record(e.id, label, f"forced-twist:{rep.axiom}",
                            rep.holds, False)
@@ -611,7 +615,7 @@ def counterexample_search(config: SearchConfig) -> SearchReport:
                 continue
             checked += 1
             candidates += 1
-            forced = twist(alg, delta, "lie", force=True)
+            forced = twist_by(alg, delta, "lie", verdict)
             for rep in forced.verification:
                 if rep.axiom in ("skew_symmetry", "jacobi") and not rep.holds:
                     findings.append({

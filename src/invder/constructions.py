@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import (CheckReport, check_associativity, check_commutativity,
+from .axioms import (BUNDLES, CheckReport, check_associativity, check_commutativity,
                      check_jacobi, check_pre_lie, check_zinbiel,
                      identity_witness, invder_identity_axioms, kind_axioms,
                      leibniz_witness, run_axiom)
@@ -95,13 +95,21 @@ def _delta_reports(result: Algebra, kind: str, delta: LinearMap,
     return reports
 
 
+def _twisted(alg: Algebra, delta: LinearMap, kind: str,
+             names: list[str]) -> Algebra:
+    return alg.with_ops(f"{alg.name}.twist",
+                        {n: alg.op(n).twist(delta) for n in names}, kind)
+
+
 def twist(alg: Algebra, delta: LinearMap, kind: str | None = None,
           op_name: str | None = None, force: bool = False) -> ConstructionResult:
     """Replace each product x y by delta(x y).
 
-    The map must be an accepted invertible derivation of the structure being
-    twisted; with force=True that gate is skipped and the verification
-    reports simply record which axioms survive.
+    This is the gate in front of twist_by, the construction: the map must
+    be an accepted invertible derivation of the structure being twisted;
+    with force=True that gate is skipped and the verification reports
+    simply record which axioms survive.  Either way the verdict is computed
+    here once and handed to the construction.
     """
     kind = kind or alg.kind_hint
     if kind is None:
@@ -110,8 +118,19 @@ def twist(alg: Algebra, delta: LinearMap, kind: str | None = None,
     names = _kind_op_names(alg, kind, op_name)
     verdict = is_invder(delta, alg, names) if force \
         else require_invder(delta, alg, names)
-    twisted = {n: alg.op(n).twist(delta) for n in names}
-    out = alg.with_ops(f"{alg.name}.twist", twisted, kind)
+    return twist_by(alg, delta, kind, verdict, op_name)
+
+
+def twist_by(alg: Algebra, delta: LinearMap, kind: str, verdict: InvDerVerdict,
+             op_name: str | None = None) -> ConstructionResult:
+    """The twist construction, for a caller that already holds the verdict.
+
+    verdict must be is_invder of delta on the operations of the kind; it is
+    trusted, not recomputed.  It decides which reports on the carried map
+    are added: the derivation rule always, the inverse and the twisted
+    identities of the kind only for an accepted map.
+    """
+    out = _twisted(alg, delta, kind, _kind_op_names(alg, kind, op_name))
     reports = kind_axioms(out, kind)
     reports.extend(_delta_reports(out, kind, delta, verdict))
     return ConstructionResult(out, delta, tuple(reports))
@@ -156,10 +175,10 @@ def yau_iff_check(alg: Algebra, delta: LinearMap, kind: str | None = None,
                   op_name: str | None = None) -> YauVerdict:
     """Evaluate both sides of the twist equivalence on one instance.
 
-    Both sides are recomputed from scratch.  A disagreement is treated as
-    an internal defect rather than a verdict, because the twist by the
-    inverse map recovers the source, so the two sides stand or fall
-    together.
+    The gate (the source verdict, which must accept) and the source kind
+    axioms are computed here; the twisted algebra is built as twist_by
+    builds it, with only its kind axioms scanned, and yau_from_twist
+    decides both sides from that.
     """
     kind = kind or alg.kind_hint
     if kind is None:
@@ -167,14 +186,33 @@ def yau_iff_check(alg: Algebra, delta: LinearMap, kind: str | None = None,
     names = _kind_op_names(alg, kind, op_name)
     single = names[0] if len(names) == 1 else None
     verdict = require_invder(delta, alg, names)
-    twisted = alg.with_ops(f"{alg.name}.twist",
-                           {n: alg.op(n).twist(delta) for n in names}, kind)
+    twisted = _twisted(alg, delta, kind, names)
+    source_holds = all(r.holds for r in kind_axioms(alg, kind, single))
+    result = ConstructionResult(twisted, delta,
+                                tuple(kind_axioms(twisted, kind, single)))
+    return yau_from_twist(alg, kind, source_holds, verdict, result)
+
+
+def yau_from_twist(alg: Algebra, kind: str, source_holds: bool,
+                   verdict: InvDerVerdict,
+                   result: ConstructionResult) -> YauVerdict:
+    """Both sides of the twist equivalence from a twist already built.
+
+    source_holds is the verdict of the kind axioms on alg and verdict the
+    InvDer verdict of the carried map there; result is the twist, whose
+    kind axiom reports give the twisted side.  Only the InvDer verdict of
+    the map on the twisted algebra is computed here.  A disagreement is
+    treated as an internal defect rather than a verdict, because the twist
+    by the inverse map recovers the source, so the two sides stand or fall
+    together.
+    """
+    axioms = BUNDLES[kind]
     out = YauVerdict(
         kind,
-        all(r.holds for r in kind_axioms(alg, kind, single)),
-        all(r.holds for r in kind_axioms(twisted, kind, single)),
+        source_holds,
+        all(r.holds for r in result.verification if r.axiom in axioms),
         verdict.accepted,
-        is_invder(delta, twisted, names).accepted,
+        is_invder(result.carried_delta, result.algebra).accepted,
     )
     if out.forward != out.backward:
         raise InvderError(

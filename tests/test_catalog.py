@@ -1,4 +1,5 @@
 """Built-in catalog, randomized property suite, counterexample search."""
+import importlib
 import random
 
 import pytest
@@ -7,6 +8,8 @@ from invder import (FAMILIES, LinearMap, SearchConfig, catalog,
                     counterexample_search, derivation_space, entry, is_invder,
                     kinds_satisfied, max_dimension, run_axiom,
                     run_property_suite, twist, verify_entry)
+from invder import derivations
+from invder.derivations import DerivationSpace
 from invder.errors import InputError, InvderError
 
 
@@ -180,3 +183,41 @@ class TestCounterexampleSearch:
             assert set(row) == {"algebra", "dim", "derivation_dim",
                                 "twisted_candidates"}
             assert 3 <= row["dim"] <= 4
+
+
+class TestOneVerdictPerMap:
+    """Each (map, algebra) pair gets its InvDer verdict exactly once."""
+
+    @pytest.fixture
+    def verdicts(self, monkeypatch):
+        """Algebra names of every is_invder call, wherever it is made."""
+        seen = []
+        original = derivations.is_invder
+
+        def counted(delta, alg, *args, **kwargs):
+            seen.append(alg.name)
+            return original(delta, alg, *args, **kwargs)
+
+        for name in ("catalog", "constructions", "derivations"):
+            module = importlib.import_module(f"invder.{name}")
+            monkeypatch.setattr(module, "is_invder", counted)
+        return seen
+
+    def test_hunt_decides_each_draw_once(self, verdicts, monkeypatch):
+        draws = []
+        original = DerivationSpace.combination
+
+        def counted(space, coeffs):
+            draws.append(coeffs)
+            return original(space, coeffs)
+
+        monkeypatch.setattr(DerivationSpace, "combination", counted)
+        counterexample_search(SearchConfig(
+            "random_nilpotent_tables", max_dim=4, max_samples=8, seed=1))
+        assert len(verdicts) == len(draws) == 160
+
+    def test_suite_decides_each_candidate_and_twist_once(self, verdicts):
+        report = run_property_suite(seed=0, samples=1)
+        twisted = [name for name in verdicts if name.endswith(".twist")]
+        assert len(twisted) == report.accepted_pairs
+        assert len(verdicts) == 70

@@ -7,9 +7,9 @@ from invder import (Algebra, LinearMap, RotaBaxterOp, commutator_lie,
                     commutes, dendriform_to_assoc, dendriform_to_prelie,
                     dendriform_to_zinbiel, endo_lie_from_assoc, entry,
                     is_invder, is_rota_baxter, kind_axioms, rb_prelie_from_assoc,
-                    rb_prelie_from_lie, twist, yau_iff_check, zinbiel_to_assoc,
-                    zinbiel_to_lie)
-from invder.errors import (CommutationFailureError, InputError,
+                    rb_prelie_from_lie, twist, twist_by, yau_from_twist,
+                    yau_iff_check, zinbiel_to_assoc, zinbiel_to_lie)
+from invder.errors import (CommutationFailureError, InputError, InvderError,
                            NotIdempotentError, NotInvDerError,
                            NotMultiplicativeError, NotRotaBaxterError,
                            SourceAxiomFailureError,
@@ -83,8 +83,38 @@ class TestTwist:
         assert data["ok"] is True
         assert data["algebra"]["kind"] == "lie"
 
+    def test_twist_is_its_gate_in_front_of_twist_by(self):
+        for entry_id, map_name in [("heisenberg3", "delta_w"),
+                                   ("heisenberg3", "diag112"),
+                                   ("a3_dendriform", "delta_A")]:
+            e = entry(entry_id)
+            d = e.document.map(map_name)
+            kind = e.algebra.kind_hint
+            verdict = is_invder(d, e.algebra)
+            assert twist_by(e.algebra, d, kind, verdict) == \
+                twist(e.algebra, d, force=not verdict.accepted), entry_id
+
 
 class TestYau:
+    def test_yau_from_twist_agrees_with_yau_iff_check(self):
+        for entry_id, map_name in [("heisenberg3", "delta_w"),
+                                   ("a3_zinbiel", "delta_A"),
+                                   ("a3_dendriform", "delta_A")]:
+            e = entry(entry_id)
+            d, kind = e.document.map(map_name), e.algebra.kind_hint
+            verdict = is_invder(d, e.algebra)
+            res = twist_by(e.algebra, d, kind, verdict)
+            assert yau_from_twist(e.algebra, kind, True, verdict, res) == \
+                yau_iff_check(e.algebra, d), entry_id
+
+    def test_one_sided_equivalence_is_an_internal_defect(self):
+        e = entry("heisenberg3")
+        d = e.document.map("delta_w")
+        verdict = is_invder(d, e.algebra)
+        res = twist_by(e.algebra, d, "lie", verdict)
+        with pytest.raises(InvderError):
+            yau_from_twist(e.algebra, "lie", False, verdict, res)
+
     def test_forward_and_backward_hold_on_accepted_pairs(self):
         for entry_id, map_name, kind in [
                 ("heisenberg3", "delta_w", "lie"), ("a3", "delta_A", "prelie"),
