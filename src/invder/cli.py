@@ -163,18 +163,29 @@ def cmd_check(args) -> int:
         known = ", ".join(list(BUNDLES) + list(AXIOM_IDS))
         raise InputError(f"unknown axiom {args.axiom!r}; known: {known}")
     delta = doc.map(args.map) if args.map else None
+    # a row refused as bad input (no map, a map that is not a derivation)
+    # does not cost the verdicts of the rows that could run
     reports = []
+    refused = None
     for axiom in axioms:
-        if axiom in DELTA_AXIOMS and delta is None:
-            raise InputError(f"axiom {axiom!r} needs --map naming a stored map")
-        reports.append(run_axiom(alg, axiom, args.op, delta))
-    ok = all(r.holds for r in reports)
-    if args.json:
-        _emit_json({"algebra": alg.name,
-                    "axioms": [r.to_dict() for r in reports],
-                    "ok": ok})
-    else:
+        try:
+            if axiom in DELTA_AXIOMS and delta is None:
+                raise InputError(
+                    f"axiom {axiom!r} needs --map naming a stored map")
+            reports.append(run_axiom(alg, axiom, args.op, delta))
+        except InputError as exc:
+            refused = refused or exc
+    ok = refused is None and all(r.holds for r in reports)
+    if reports and args.json:
+        payload = {"algebra": alg.name,
+                   "axioms": [r.to_dict() for r in reports], "ok": ok}
+        if refused is not None:
+            payload["error"] = str(refused)
+        _emit_json(payload)
+    elif reports:
         _print_reports(reports)
+    if refused is not None:
+        raise refused
     return 0 if ok else 1
 
 

@@ -53,6 +53,26 @@ class TestCheck:
         assert reports[0]["witness"]["indices"] == [0, 1, 2]
         assert reports[0]["witness"]["lhs"] == ["-2", "0", "0"]
 
+    def test_refused_row_keeps_the_verdicts_that_ran(self, capsys,
+                                                     algebra_dir):
+        # proj_center is not a derivation, so identity_25 is refused, but
+        # the invder_jacobi row of the same bundle still has its verdict
+        argv = ("check", path(algebra_dir, "heisenberg3"), "--axiom",
+                "invder-lie", "--map", "proj_center")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "invder_jacobi: holds\n"
+        assert err == ("error: identity_25 requires delta to be a "
+                       "derivation\n")
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 2
+        assert json.loads(out) == {
+            "algebra": "heisenberg3",
+            "axioms": [{"axiom": "invder_jacobi", "holds": True}],
+            "ok": False,
+            "error": "identity_25 requires delta to be a derivation"}
+        assert err.startswith("error: identity_25")
+
     def test_delta_axiom_needs_map(self, capsys, algebra_dir):
         code, _, err = run(capsys, "check", path(algebra_dir, "so3"),
                            "--axiom", "invder_jacobi")
