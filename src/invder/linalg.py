@@ -5,13 +5,16 @@ in dimension six or less, so the solvers favour a canonical, reproducible
 answer over asymptotic cleverness.  Reduced row echelon form always chooses
 the leftmost available pivot, pivots are normalised to one, and kernel bases
 enumerate free columns in ascending order with each free variable set to one
-in turn.  Two runs on equal input produce bit-equal output.
+in turn.  Two runs on equal input produce bit-equal output.  Determinants
+and inverses, which are unique, come from one fraction-free elimination on
+the rows scaled to integers, so they cost integer arithmetic only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 
 from .errors import InputError, SingularMatrixError
 from .rational import ONE, ZERO, Q, lean
@@ -240,47 +243,82 @@ class Matrix:
     def det(self) -> Fraction:
         if not self.is_square:
             raise InputError("determinant of a non-square matrix")
-        m = self.row_lists()
-        n = self.rows
-        sign = ONE
-        result = ONE
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if m[i][c]), None)
-            if pivot_row is None:
-                return ZERO
-            if pivot_row != c:
-                m[c], m[pivot_row] = m[pivot_row], m[c]
-                sign = -sign
-            row = m[c]
-            result *= row[c]
-            inv = ONE / row[c]
-            cells = [(j, row[j]) for j in range(c + 1, n) if row[j]]
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    other = m[i]
-                    for j, v in cells:
-                        other[j] -= f * v
-        return sign * result
+        rows, scales = self._integral_rows()
+        eliminated = _fraction_free(rows, self.rows)
+        if eliminated is None:
+            return ZERO
+        sign, d = eliminated
+        return Q(sign * d, prod(scales))
 
     def invert(self) -> "Matrix":
         """Inverse matrix; raises SingularMatrixError when det = 0."""
         if not self.is_square:
             raise InputError("inverse of a non-square matrix")
         n = self.rows
-        aug = Matrix(n, 2 * n, tuple(
-            v for i in range(n)
-            for v in (*self.entries[i * n:(i + 1) * n],
-                      *(ONE if j == i else ZERO for j in range(n)))))
-        reduced, pivots = aug.rref()
-        if list(pivots[:n]) != list(range(n)) or len(pivots) < n:
+        rows, scales = self._integral_rows()
+        for i, row in enumerate(rows):
+            row.extend(int(j == i) for j in range(n))
+        eliminated = _fraction_free(rows, n)
+        if eliminated is None:
             raise SingularMatrixError("matrix is singular")
-        return Matrix(n, n, tuple(reduced.entry(i, n + j)
+        d = eliminated[1]
+        # rows i of A were scaled by s_i, so A^-1 = (SA)^-1 S
+        return Matrix(n, n, tuple(Q(rows[i][n + j] * scales[j], d)
                                   for i in range(n) for j in range(n)))
+
+    def _integral_rows(self) -> tuple[list[list[int]], list[int]]:
+        """Each row times the lcm of its denominators, and those scales."""
+        rows, scales = [], []
+        for i in range(self.rows):
+            row = self.entries[i * self.cols:(i + 1) * self.cols]
+            s = lcm(*(v.denominator for v in row))
+            rows.append([v.numerator * (s // v.denominator) for v in row])
+            scales.append(s)
+        return rows, scales
 
     def _check_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise InputError("matrix shape mismatch")
+
+
+def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int] | None:
+    """Fraction-free Gauss-Jordan elimination on the first n columns.
+
+    Works in place on integer rows (Bareiss 1968): after step k every
+    entry is a (k+1)-minor of the input, so the division by the previous
+    pivot is exact, and only the nonzero cells of the pivot row are read.
+    Ends with d on the diagonal of the n columns, d times the inverse of
+    the row-permuted left block beside it, and returns the sign of the
+    row permutation with d, so the determinant is sign * d.  None when the
+    left block is singular.
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot_row is None:
+            return None
+        if pivot_row != k:
+            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        cells = [(j, v) for j, v in enumerate(rows[k]) if v]
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            f = row[k]
+            if f:
+                for j in range(len(row)):
+                    row[j] *= pivot
+                for j, v in cells:
+                    row[j] -= f * v
+                if prev != 1:
+                    for j in range(len(row)):
+                        row[j] //= prev
+            elif pivot != prev:
+                for j in range(len(row)):
+                    row[j] = row[j] * pivot // prev
+        prev = pivot
+    return sign, prev
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """The lean kernels and the zero-skipping elimination against plain references.
 
-The sparse kernels hold integral values as ints and the elimination updates
-only the nonzero cells of a pivot row.  Each is compared here with a plain
-dense Fraction computation written out in this file, on tables, maps and
-matrices with zero rows and columns and with non-integral entries, and
-every public value is checked to be a Fraction.
+The sparse kernels hold integral values as ints, rref updates only the
+nonzero cells of a pivot row, and det and invert eliminate fraction-free on
+integer rows.  Each is compared here with a plain dense Fraction
+computation written out in this file, on tables, maps and matrices with
+zero rows and columns and with non-integral entries, and every public value
+is checked to be a Fraction.
 """
 from fractions import Fraction as Q
 from itertools import product
