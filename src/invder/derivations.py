@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
 
 from .axioms import CheckReport, identity_witness, leibniz_witness
 from .errors import (InputError, InvderError, NotInvDerError,
@@ -189,6 +190,12 @@ def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
         inv = None
     invertible = inv is not None
     square = _square_condition(delta, ops)
+    if invertible:
+        # the Leibniz rule is linear in the map, so an integral multiple of
+        # the inverse decides it on int arithmetic
+        scale = lcm(*(v.denominator for v in inv.matrix.entries))
+        if scale != 1:
+            inv = inv.scale(scale)
     inverse_deriv = invertible and all(leibniz_witness(op, inv) is None
                                        for _, op in ops)
     if deriv and invertible and inverse_deriv != square:
