@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import (BUNDLES, CheckReport, check_associativity, check_commutativity,
-                     check_jacobi, check_pre_lie, check_zinbiel,
-                     identity_witness, invder_identity_axioms, kind_axioms,
-                     leibniz_witness, run_axiom)
+from .axioms import (BUNDLES, CheckReport, check_associativity,
+                     check_commutativity, check_jacobi, check_pre_lie,
+                     check_zinbiel, identity_witness, invder_identity_axioms,
+                     kind_axioms, leibniz_witness, run_axiom)
 from .derivations import (InvDerVerdict, is_derivation, is_invder,
                           require_invder)
 from .errors import (CommutationFailureError, InputError, InvderError,

@@ -284,13 +284,12 @@ class Matrix:
 def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int] | None:
     """Fraction-free Gauss-Jordan elimination on the first n columns.
 
-    Works in place on integer rows (Bareiss 1968): after step k every
-    entry is a (k+1)-minor of the input, so the division by the previous
-    pivot is exact, and only the nonzero cells of the pivot row are read.
-    Ends with d on the diagonal of the n columns, d times the inverse of
-    the row-permuted left block beside it, and returns the sign of the
-    row permutation with d, so the determinant is sign * d.  None when the
-    left block is singular.
+    Works in place on the integer rows of [A | B], A of size n (Bareiss
+    1968): after step k every entry is a (k+1)-minor of the input, so the
+    division by the previous pivot is exact, and only the nonzero cells of
+    the pivot row are read.  The rows end as [d I | d A^-1 B]; the result
+    is the sign of the row swaps and d, so det A = sign * d.  None when A
+    is singular.
     """
     sign, prev = 1, 1
     for k in range(n):

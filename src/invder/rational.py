@@ -7,11 +7,12 @@ just "p" when the denominator is one.  The helpers below add strict parsing
 so malformed coefficient strings in input files fail loudly instead of
 being coerced.
 
-Inside the sparse kernels of model and axioms a scalar is lean: an int when
-it is integral, a Fraction otherwise (see lean).  Sums there start at the
-int 0 and never divide, so integral tables and maps run on int arithmetic
-alone and stay exact; a value is turned back into a Fraction with Q where
-it leaves a kernel.
+Inside the hot loops (the sparse kernels of model and axioms, matmul and
+DerivationSpace.combination) a scalar is lean: an int when it is
+integral, a Fraction otherwise (see lean).  Sums there start at the int 0
+and never divide, so integral tables and maps run on int arithmetic alone
+and stay exact; a value is turned back into a Fraction with Q where it
+leaves the loop.
 """
 
 from __future__ import annotations
