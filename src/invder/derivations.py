@@ -190,14 +190,14 @@ def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
         inv = None
     invertible = inv is not None
     square = _square_condition(delta, ops)
+    inverse_deriv = False
     if invertible:
         # the Leibniz rule is linear in the map, so an integral multiple of
         # the inverse decides it on int arithmetic
         scale = lcm(*(v.denominator for v in inv.matrix.entries))
-        if scale != 1:
-            inv = inv.scale(scale)
-    inverse_deriv = invertible and all(leibniz_witness(op, inv) is None
-                                       for _, op in ops)
+        multiple = inv.scale(scale) if scale != 1 else inv
+        inverse_deriv = all(leibniz_witness(op, multiple) is None
+                            for _, op in ops)
     if deriv and invertible and inverse_deriv != square:
         # the two characterisations are provably equivalent for invertible
         # derivations; disagreement means a defect in this package
