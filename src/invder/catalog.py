@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .axioms import (check_dendriform, check_identity_25, check_jacobi,
+from .axioms import (check_dendriform, check_jacobi, identity_witness,
                      invder_identity_axioms, kind_axioms, kinds_satisfied)
 from .constructions import is_rota_baxter, twist_by, yau_from_twist
 from .derivations import derivation_space, invder_search, is_invder
@@ -440,10 +440,10 @@ def run_property_suite(seed: int = 0, samples: int = 100) -> SuiteReport:
                                True,
                                rep.witness.indices if rep.witness else None)
                     if kind == "lie":
-                        rep = check_identity_25(alg, None, m)
-                        record(e.id, label, "source:identity_25", rep.holds,
-                               True,
-                               rep.witness.indices if rep.witness else None)
+                        # the verdict has established the row's precondition
+                        w = identity_witness("identity_25", alg.op(), d=m)
+                        record(e.id, label, "source:identity_25", w is None,
+                               True, w.indices if w else None)
                 except InvderError as exc:
                     record(e.id, label, f"internal:{exc}", False, True)
             elif verdict.is_derivation and not verdict.accepted \

@@ -123,13 +123,11 @@ def _weight(args):
     return parse_rational(args.weight)
 
 
-def _write_output(res: ConstructionResult, args) -> None:
-    if args.output:
-        save_algebra(res.to_document(), args.output)
-
-
 def _construction_output(res: ConstructionResult, args,
                          head: str | None = None) -> int:
+    # the file is written first, so a failed write prints no report
+    if args.output:
+        save_algebra(res.to_document(), args.output)
     if args.json:
         _emit_json(res.to_dict())
     else:
@@ -140,7 +138,6 @@ def _construction_output(res: ConstructionResult, args,
             print(f"note: {note}")
         if args.output:
             print(f"wrote {args.output}")
-    _write_output(res, args)
     return 0 if res.ok else 1
 
 

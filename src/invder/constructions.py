@@ -7,6 +7,11 @@ verification reports for the axioms the output is supposed to satisfy.
 Preconditions on the inputs are enforced eagerly with typed errors, so a
 result object always describes a construction that was actually allowed to
 run; the reports then record whether the advertised identities hold.
+
+A map carried along is reported on by one helper for every construction:
+an accepted map is decided on the output by is_invder, whose verdict
+supplies its derivation and inverse_derivation reports; any other map gets
+only its derivation report.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from .axioms import (BUNDLES, CheckReport, check_associativity,
                      check_commutativity, check_jacobi, check_pre_lie,
                      check_zinbiel, identity_witness, invder_identity_axioms,
-                     kind_axioms, leibniz_witness, run_axiom)
+                     kind_axioms, run_axiom)
 from .derivations import (InvDerVerdict, is_derivation, is_invder,
                           require_invder)
 from .errors import (CommutationFailureError, InputError, InvderError,
@@ -83,22 +88,24 @@ def _require_source(reports: list[CheckReport], what: str,
             f"{bad[0].witness.indices}")
 
 
-def _delta_reports(result: Algebra, kind: str, delta: LinearMap,
-                   source_verdict: InvDerVerdict | None) -> list[CheckReport]:
-    """Derivation reports for the carried map on the constructed algebra."""
-    reports = [is_derivation(delta, result)]
-    if source_verdict is not None and source_verdict.accepted:
-        inverse = is_derivation(delta.inverse(), result)
-        reports.append(CheckReport("inverse_derivation", inverse.holds,
-                                   inverse.witness))
-        reports.extend(invder_identity_axioms(result, kind, delta))
-    return reports
+def _result(out: Algebra, kind: str, reports: list[CheckReport],
+            delta: LinearMap | None, verdict: InvDerVerdict | None,
+            notes: tuple[str, ...] = ()) -> ConstructionResult:
+    """The constructed algebra with the carried map's reports appended.
 
-
-def _twisted(alg: Algebra, delta: LinearMap, kind: str,
-             names: list[str]) -> Algebra:
-    return alg.with_ops(f"{alg.name}.twist",
-                        {n: alg.op(n).twist(delta) for n in names}, kind)
+    verdict is the map's verdict on the source.  When it accepts, is_invder
+    decides the map on out, cross-checking its two routes there, and its
+    Leibniz reports are added with the twisted identities of the kind;
+    otherwise only the map's Leibniz rule on out is scanned.
+    """
+    if delta is not None:
+        if verdict.accepted:
+            carried = is_invder(delta, out)
+            reports += [carried.derivation, carried.inverse_derivation]
+            reports += invder_identity_axioms(out, kind, delta)
+        else:
+            reports.append(is_derivation(delta, out))
+    return ConstructionResult(out, delta, tuple(reports), notes)
 
 
 def twist(alg: Algebra, delta: LinearMap, kind: str | None = None,
@@ -130,10 +137,10 @@ def twist_by(alg: Algebra, delta: LinearMap, kind: str, verdict: InvDerVerdict,
     are added: the derivation rule always, the inverse and the twisted
     identities of the kind only for an accepted map.
     """
-    out = _twisted(alg, delta, kind, _kind_op_names(alg, kind, op_name))
-    reports = kind_axioms(out, kind)
-    reports.extend(_delta_reports(out, kind, delta, verdict))
-    return ConstructionResult(out, delta, tuple(reports))
+    names = _kind_op_names(alg, kind, op_name)
+    out = alg.with_ops(f"{alg.name}.twist",
+                       {n: alg.op(n).twist(delta) for n in names}, kind)
+    return _result(out, kind, kind_axioms(out, kind), delta, verdict)
 
 
 @dataclass(frozen=True)
@@ -175,21 +182,17 @@ def yau_iff_check(alg: Algebra, delta: LinearMap, kind: str | None = None,
                   op_name: str | None = None) -> YauVerdict:
     """Evaluate both sides of the twist equivalence on one instance.
 
-    The gate (the source verdict, which must accept) and the source kind
-    axioms are computed here; the twisted algebra is built as twist_by
-    builds it, with only its kind axioms scanned, and yau_from_twist
-    decides both sides from that.
+    The gate (the source verdict, which must accept), then twist_by, then
+    yau_from_twist on its result; the source kind axioms are scanned here.
     """
     kind = kind or alg.kind_hint
     if kind is None:
         raise InputError("iff check needs a structure kind")
     names = _kind_op_names(alg, kind, op_name)
-    single = names[0] if len(names) == 1 else None
     verdict = require_invder(delta, alg, names)
-    twisted = _twisted(alg, delta, kind, names)
+    result = twist_by(alg, delta, kind, verdict, op_name)
+    single = names[0] if len(names) == 1 else None
     source_holds = all(r.holds for r in kind_axioms(alg, kind, single))
-    result = ConstructionResult(twisted, delta,
-                                tuple(kind_axioms(twisted, kind, single)))
     return yau_from_twist(alg, kind, source_holds, verdict, result)
 
 
@@ -199,20 +202,25 @@ def yau_from_twist(alg: Algebra, kind: str, source_holds: bool,
     """Both sides of the twist equivalence from a twist already built.
 
     source_holds is the verdict of the kind axioms on alg and verdict the
-    InvDer verdict of the carried map there; result is the twist, whose
-    kind axiom reports give the twisted side.  Only the InvDer verdict of
-    the map on the twisted algebra is computed here.  A disagreement is
-    treated as an internal defect rather than a verdict, because the twist
-    by the inverse map recovers the source, so the two sides stand or fall
-    together.
+    accepted InvDer verdict of the carried map there (InputError for any
+    other); result is twist_by's twist.  Its kind axiom reports give the
+    twisted side, and its derivation and inverse_derivation reports, with
+    the map's invertibility, say whether the map stays InvDer there;
+    nothing is scanned here.  A disagreement is treated as an internal
+    defect rather than a verdict, because the twist by the inverse map
+    recovers the source, so the two sides stand or fall together.
     """
+    if not verdict.accepted:
+        raise InputError("the twist equivalence needs an accepted verdict")
     axioms = BUNDLES[kind]
+    holds = {r.axiom: r.holds for r in result.verification}
     out = YauVerdict(
         kind,
         source_holds,
-        all(r.holds for r in result.verification if r.axiom in axioms),
+        all(holds[a] for a in axioms),
         verdict.accepted,
-        is_invder(result.carried_delta, result.algebra).accepted,
+        verdict.is_invertible and holds["derivation"]
+        and holds["inverse_derivation"],
     )
     if out.forward != out.backward:
         raise InvderError(
@@ -234,14 +242,12 @@ def commutator_lie(alg: Algebra, op_name: str | None = None,
     _require_source([check_pre_lie(alg, name)], "pre-Lie", force=False)
     bracket = star - star.opposite()
     out = alg.with_ops(f"{alg.name}.lie", {"bracket": bracket}, "lie")
-    reports = kind_axioms(out, "lie")
     verdict = None
     if delta is not None:
-        if leibniz_witness(star, delta) is not None:
-            raise InputError("map is not a derivation of the source product")
         verdict = is_invder(delta, alg, [name])
-        reports.extend(_delta_reports(out, "lie", delta, verdict))
-    return ConstructionResult(out, delta, tuple(reports))
+        if not verdict.is_derivation:
+            raise InputError("map is not a derivation of the source product")
+    return _result(out, "lie", kind_axioms(out, "lie"), delta, verdict)
 
 
 @dataclass(frozen=True)
@@ -280,10 +286,13 @@ def is_rota_baxter(r: LinearMap | RotaBaxterOp, alg: Algebra,
     return CheckReport("rota_baxter", witness is None, witness)
 
 
-def _require_carried(alg: Algebra, names: list[str], delta: LinearMap,
-                     operator: LinearMap) -> InvDerVerdict:
+def _carried(alg: Algebra, names: list[str], delta: LinearMap | None,
+             operator: LinearMap | None = None) -> InvDerVerdict | None:
+    """The gate for a carried map: accepted, and commuting with operator."""
+    if delta is None:
+        return None
     verdict = require_invder(delta, alg, names, "carried map")
-    if not delta.commutes_with(operator):
+    if operator is not None and not delta.commutes_with(operator):
         raise CommutationFailureError(
             "carried map does not commute with the operator")
     return verdict
@@ -308,9 +317,7 @@ def rb_prelie_from_lie(alg: Algebra, rbo: LinearMap | RotaBaxterOp,
     name = _resolve_single(alg, op_name)
     _require_source(kind_axioms(alg, "lie", name), "a Lie bracket", force=False)
     r = _weight_zero_rbo(rbo, alg, name)
-    verdict = None
-    if delta is not None:
-        verdict = _require_carried(alg, [name], delta, r)
+    verdict = _carried(alg, [name], delta, r)
     star = alg.op(name).compose_left(r)
     out = alg.with_ops(f"{alg.name}.rb_prelie", {"star": star}, "prelie")
     reports = [check_pre_lie(out)]
@@ -319,10 +326,8 @@ def rb_prelie_from_lie(alg: Algebra, rbo: LinearMap | RotaBaxterOp,
     comm = alg.with_ops(f"{alg.name}.rb_prelie_comm",
                         {"bracket": star - star.opposite()}, "lie")
     reports.append(check_jacobi(comm))
-    if delta is not None:
-        reports.extend(_delta_reports(out, "prelie", delta, verdict))
-    return ConstructionResult(out, delta, tuple(reports),
-                              ("weight 0 Rota-Baxter product",))
+    return _result(out, "prelie", reports, delta, verdict,
+                   ("weight 0 Rota-Baxter product",))
 
 
 def rb_prelie_from_assoc(alg: Algebra, rbo: LinearMap | RotaBaxterOp,
@@ -333,19 +338,15 @@ def rb_prelie_from_assoc(alg: Algebra, rbo: LinearMap | RotaBaxterOp,
     _require_source(kind_axioms(alg, "associative", name), "associative",
                     force=False)
     r = _weight_zero_rbo(rbo, alg, name)
-    verdict = None
+    verdict = _carried(alg, [name], delta, r)
     if delta is not None:
-        verdict = _require_carried(alg, [name], delta, r)
         _require_source([run_axiom(alg, "invder_assoc", name, delta)],
                         "InvDer associative", force=False)
     mu = alg.op(name)
     star = mu.compose_left(r) - mu.compose_right(r).opposite()
     out = alg.with_ops(f"{alg.name}.rb_prelie", {"star": star}, "prelie")
-    reports = [check_pre_lie(out)]
-    if delta is not None:
-        reports.extend(_delta_reports(out, "prelie", delta, verdict))
-    return ConstructionResult(out, delta, tuple(reports),
-                              ("weight 0 Rota-Baxter product",))
+    return _result(out, "prelie", [check_pre_lie(out)], delta, verdict,
+                   ("weight 0 Rota-Baxter product",))
 
 
 def endo_lie_from_assoc(alg: Algebra, endo: LinearMap,
@@ -369,19 +370,15 @@ def endo_lie_from_assoc(alg: Algebra, endo: LinearMap,
     if witness is not None:
         raise NotMultiplicativeError(
             f"operator is not multiplicative at {witness.indices}")
-    verdict = None
+    verdict = _carried(alg, [name], delta, endo)
     if delta is not None:
-        verdict = _require_carried(alg, [name], delta, endo)
         _require_source([run_axiom(alg, "invder_assoc", name, delta)],
                         "InvDer associative", force=False)
     half = mu.compose_left(endo)
     bracket = half - half.opposite()
     out = alg.with_ops(f"{alg.name}.endo_lie", {"bracket": bracket}, "lie")
-    reports = kind_axioms(out, "lie")
-    if delta is not None:
-        reports.extend(_delta_reports(out, "lie", delta, verdict))
-    return ConstructionResult(
-        out, delta, tuple(reports),
+    return _result(
+        out, "lie", kind_axioms(out, "lie"), delta, verdict,
         ("operator taken as an idempotent multiplicative endomorphism",))
 
 
@@ -397,13 +394,12 @@ def zinbiel_to_assoc(alg: Algebra, op_name: str | None = None,
                      force: bool = False) -> ConstructionResult:
     """Symmetrised product x y = x<>y + y<>x, commutative associative."""
     name, dia = _zinbiel_source(alg, op_name, force)
-    verdict = _accepted_or_raise(alg, [name], delta)
+    verdict = _carried(alg, [name], delta)
     mu = dia + dia.opposite()
     out = alg.with_ops(f"{alg.name}.assoc", {"product": mu}, "associative")
-    reports = [check_associativity(out), check_commutativity(out)]
-    if delta is not None:
-        reports.extend(_delta_reports(out, "associative", delta, verdict))
-    return ConstructionResult(out, delta, tuple(reports))
+    return _result(out, "associative",
+                   [check_associativity(out), check_commutativity(out)],
+                   delta, verdict)
 
 
 def zinbiel_to_lie(alg: Algebra, op_name: str | None = None,
@@ -411,20 +407,10 @@ def zinbiel_to_lie(alg: Algebra, op_name: str | None = None,
                    force: bool = False) -> ConstructionResult:
     """Bracket [x, y] = x<>y - y<>x of a zinbiel product."""
     name, dia = _zinbiel_source(alg, op_name, force)
-    verdict = _accepted_or_raise(alg, [name], delta)
+    verdict = _carried(alg, [name], delta)
     bracket = dia - dia.opposite()
     out = alg.with_ops(f"{alg.name}.lie", {"bracket": bracket}, "lie")
-    reports = kind_axioms(out, "lie")
-    if delta is not None:
-        reports.extend(_delta_reports(out, "lie", delta, verdict))
-    return ConstructionResult(out, delta, tuple(reports))
-
-
-def _accepted_or_raise(alg: Algebra, names: list[str],
-                       delta: LinearMap | None) -> InvDerVerdict | None:
-    if delta is None:
-        return None
-    return require_invder(delta, alg, names, "carried map")
+    return _result(out, "lie", kind_axioms(out, "lie"), delta, verdict)
 
 
 def _dendriform_source(alg: Algebra, force: bool) -> tuple[BilinearOp, BilinearOp]:
@@ -440,35 +426,27 @@ def dendriform_to_zinbiel(alg: Algebra, delta: LinearMap | None = None,
     if left != right.opposite():
         raise SymmetryPreconditionFailureError(
             "half-products are not mirror images of each other")
-    verdict = _accepted_or_raise(alg, ["left", "right"], delta)
+    verdict = _carried(alg, ["left", "right"], delta)
     out = alg.with_ops(f"{alg.name}.zinbiel", {"diamond": right}, "zinbiel")
-    reports = [check_zinbiel(out)]
-    if delta is not None:
-        reports.extend(_delta_reports(out, "zinbiel", delta, verdict))
-    return ConstructionResult(out, delta, tuple(reports))
+    return _result(out, "zinbiel", [check_zinbiel(out)], delta, verdict)
 
 
 def dendriform_to_assoc(alg: Algebra, delta: LinearMap | None = None,
                         force: bool = False) -> ConstructionResult:
     """Total product x y = x<y + x>y of a dendriform pair."""
     left, right = _dendriform_source(alg, force)
-    verdict = _accepted_or_raise(alg, ["left", "right"], delta)
+    verdict = _carried(alg, ["left", "right"], delta)
     mu = left + right
     out = alg.with_ops(f"{alg.name}.assoc", {"product": mu}, "associative")
-    reports = [check_associativity(out)]
-    if delta is not None:
-        reports.extend(_delta_reports(out, "associative", delta, verdict))
-    return ConstructionResult(out, delta, tuple(reports))
+    return _result(out, "associative", [check_associativity(out)], delta,
+                   verdict)
 
 
 def dendriform_to_prelie(alg: Algebra, delta: LinearMap | None = None,
                          force: bool = False) -> ConstructionResult:
     """Pre-Lie product x*y = x>y - y<x of a dendriform pair."""
     left, right = _dendriform_source(alg, force)
-    verdict = _accepted_or_raise(alg, ["left", "right"], delta)
+    verdict = _carried(alg, ["left", "right"], delta)
     star = right - left.opposite()
     out = alg.with_ops(f"{alg.name}.prelie", {"star": star}, "prelie")
-    reports = [check_pre_lie(out)]
-    if delta is not None:
-        reports.extend(_delta_reports(out, "prelie", delta, verdict))
-    return ConstructionResult(out, delta, tuple(reports))
+    return _result(out, "prelie", [check_pre_lie(out)], delta, verdict)

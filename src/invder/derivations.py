@@ -9,16 +9,19 @@ returned with the canonical basis produced by the exact solver.
 An InvDer map is an invertible derivation whose inverse is again a
 derivation.  For any invertible derivation this is equivalent to the square
 condition mu(delta x, delta y) = delta^2 mu(x, y); is_invder computes both
-routes independently and refuses to return if they ever disagree.
+routes independently and refuses to return if they ever disagree.  It is
+the one place that decides the question, on a source algebra or on one a
+construction has built: its verdict also carries the two Leibniz reports
+and the inverse it computed, so no caller scans or inverts again.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
-from .axioms import CheckReport, identity_witness, leibniz_witness
+from .axioms import CheckReport, Witness, identity_witness, leibniz_witness
 from .errors import (InputError, InvderError, NotInvDerError,
                      SingularMatrixError)
 from .linalg import Matrix, Vector, solve
@@ -150,12 +153,23 @@ def derivation_space(alg: Algebra, op_names=None) -> DerivationSpace:
 
 @dataclass(frozen=True)
 class InvDerVerdict:
-    """Flags for one candidate map; accepted means all three hold."""
+    """Flags for one candidate map; accepted means all three hold.
+
+    The Leibniz reports behind the two derivation flags and the inverse
+    ride along for callers that need them; they are left out of equality
+    and of to_dict.  inverse and inverse_derivation are None for a
+    singular map.
+    """
 
     is_derivation: bool
     is_invertible: bool
     inverse_is_derivation: bool
     square_condition: bool
+    derivation: CheckReport | None = field(default=None, compare=False,
+                                           repr=False)
+    inverse_derivation: CheckReport | None = field(default=None,
+                                                   compare=False, repr=False)
+    inverse: LinearMap | None = field(default=None, compare=False, repr=False)
 
     @property
     def accepted(self) -> bool:
@@ -178,33 +192,41 @@ def _square_condition(delta: LinearMap, ops) -> bool:
                for _, op in ops)
 
 
+def _inverse_report(inv: LinearMap, alg: Algebra, op_names) -> CheckReport:
+    """is_derivation of the inverse, scanned on int arithmetic.
+
+    The Leibniz rule is linear in the map, so an integral multiple of the
+    inverse fails at the same basis pair, and its witness divided by the
+    scale is the one the inverse itself gives.
+    """
+    scale = lcm(*(v.denominator for v in inv.matrix.entries))
+    report = is_derivation(inv.scale(scale) if scale != 1 else inv, alg,
+                           op_names)
+    w = report.witness
+    if w is not None and scale != 1:
+        w = Witness(w.indices, w.lhs.scale(Q(1, scale)),
+                    w.rhs.scale(Q(1, scale)))
+    return CheckReport("inverse_derivation", report.holds, w)
+
+
 def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
     """Full verdict for one map, with the two equivalent routes cross-checked."""
-    if delta.dim != alg.dim:
-        raise InputError("map dimension does not match algebra dimension")
-    ops = _selected_ops(alg, op_names)
-    deriv = all(leibniz_witness(op, delta) is None for _, op in ops)
+    deriv = is_derivation(delta, alg, op_names)
     try:
         inv = delta.inverse()
     except SingularMatrixError:
         inv = None
-    invertible = inv is not None
-    square = _square_condition(delta, ops)
-    inverse_deriv = False
-    if invertible:
-        # the Leibniz rule is linear in the map, so an integral multiple of
-        # the inverse decides it on int arithmetic
-        scale = lcm(*(v.denominator for v in inv.matrix.entries))
-        multiple = inv.scale(scale) if scale != 1 else inv
-        inverse_deriv = all(leibniz_witness(op, multiple) is None
-                            for _, op in ops)
-    if deriv and invertible and inverse_deriv != square:
+    square = _square_condition(delta, _selected_ops(alg, op_names))
+    inverse = None if inv is None else _inverse_report(inv, alg, op_names)
+    inverse_deriv = inverse is not None and inverse.holds
+    if deriv.holds and inv is not None and inverse_deriv != square:
         # the two characterisations are provably equivalent for invertible
         # derivations; disagreement means a defect in this package
         raise InvderError(
             "internal inconsistency: inverse-derivation and square-condition "
             "routes disagree for an invertible derivation")
-    return InvDerVerdict(deriv, invertible, inverse_deriv, square)
+    return InvDerVerdict(deriv.holds, inv is not None, inverse_deriv, square,
+                         deriv, inverse, inv)
 
 
 def require_invder(delta: LinearMap, alg: Algebra, op_names=None,
@@ -227,8 +249,7 @@ class InvDerAlgebra:
 
     @staticmethod
     def create(alg: Algebra, delta: LinearMap) -> "InvDerAlgebra":
-        require_invder(delta, alg)
-        return InvDerAlgebra(alg, delta, delta.inverse())
+        return InvDerAlgebra(alg, delta, require_invder(delta, alg).inverse)
 
 
 @dataclass(frozen=True)

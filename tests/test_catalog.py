@@ -10,6 +10,7 @@ from invder import (FAMILIES, LinearMap, SearchConfig, catalog,
                     run_property_suite, twist, verify_entry)
 from invder import derivations
 from invder.derivations import DerivationSpace
+from invder.linalg import Matrix
 from invder.errors import InputError, InvderError
 
 
@@ -216,8 +217,26 @@ class TestOneVerdictPerMap:
             "random_nilpotent_tables", max_dim=4, max_samples=8, seed=1))
         assert len(verdicts) == len(draws) == 160
 
-    def test_suite_decides_each_candidate_and_twist_once(self, verdicts):
+    def test_suite_decides_each_candidate_and_twist_once(self, verdicts,
+                                                         monkeypatch):
+        calls = {"invert": 0, "leibniz": 0}
+
+        def counting(key, original):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(Matrix, "invert",
+                            counting("invert", Matrix.invert))
+        for name in ("axioms", "derivations"):
+            module = importlib.import_module(f"invder.{name}")
+            monkeypatch.setattr(module, "leibniz_witness", counting(
+                "leibniz", module.leibniz_witness))
         report = run_property_suite(seed=0, samples=1)
         twisted = [name for name in verdicts if name.endswith(".twist")]
         assert len(twisted) == report.accepted_pairs
         assert len(verdicts) == 70
+        # one inversion per verdict; every Leibniz scan is a verdict's own
+        # but the 11 of the forced twists of the stored non-InvDer maps
+        assert calls == {"invert": 70, "leibniz": 158}

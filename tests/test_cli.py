@@ -250,17 +250,28 @@ class TestTwist:
     def test_twist_writes_a_loadable_verified_file(self, capsys, algebra_dir,
                                                    tmp_path):
         src = path(algebra_dir, "heisenberg3")
-        before = open(src, "rb").read()
+        with open(src, "rb") as fh:
+            before = fh.read()
         out_file = str(tmp_path / "twisted.json")
         code, out, _ = run(capsys, "twist", src, "--map", "delta_w",
                            "-o", out_file)
         assert code == 0
-        assert open(src, "rb").read() == before
+        with open(src, "rb") as fh:
+            assert fh.read() == before
         doc = load_algebra(out_file)
         assert doc.algebra.op().basis_product(0, 1) == {2: Q(2)}
         assert doc.map_names() == ("delta",)
         code, out, _ = run(capsys, "check", out_file)
         assert code == 0
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_failed_write_prints_no_report(self, capsys, algebra_dir,
+                                           tmp_path, fmt):
+        code, out, err = run(capsys, "twist", path(algebra_dir, "heisenberg3"),
+                             "--map", "delta_w", "-o", str(tmp_path), *fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
 
     def test_rejected_map_suggests_force(self, capsys, algebra_dir):
         code, _, err = run(capsys, "twist", path(algebra_dir, "heisenberg3"),

@@ -115,6 +115,14 @@ class TestYau:
         with pytest.raises(InvderError):
             yau_from_twist(e.algebra, "lie", False, verdict, res)
 
+    def test_yau_from_twist_needs_an_accepted_verdict(self):
+        e = entry("heisenberg3")
+        d = e.document.map("diag112")
+        verdict = is_invder(d, e.algebra)
+        res = twist_by(e.algebra, d, "lie", verdict)
+        with pytest.raises(InputError):
+            yau_from_twist(e.algebra, "lie", True, verdict, res)
+
     def test_forward_and_backward_hold_on_accepted_pairs(self):
         for entry_id, map_name, kind in [
                 ("heisenberg3", "delta_w", "lie"), ("a3", "delta_A", "prelie"),

@@ -11,11 +11,13 @@ from fractions import Fraction as Q
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from invder import BilinearOp, LinearMap, catalog, derivation_space, entry
-from invder.axioms import IDENTITIES, VARIABLES, identity_witness
+from invder import (Algebra, BilinearOp, LinearMap, catalog, derivation_space,
+                    entry, is_invder)
+from invder.axioms import (IDENTITIES, VARIABLES, identity_witness,
+                           leibniz_witness)
 from invder.errors import SingularMatrixError
 from invder.linalg import Matrix, Vector
 
@@ -149,6 +151,22 @@ class TestLeanKernels:
             assert got is not None
             assert (got.indices, list(got.lhs.entries),
                     list(got.rhs.entries)) == want
+            assert_fractions(got.lhs.entries + got.rhs.entries)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables_and_maps())
+    @example(z3_with_its_grading())
+    @example((entry("heisenberg3").algebra.op(),
+              entry("heisenberg3").document.map("diag112")))
+    def test_inverse_report_matches_the_fraction_inverse(self, pair):
+        # is_invder scans an integral multiple of the inverse
+        op, d = pair
+        assume(d.is_invertible())
+        alg = Algebra.build("t", [f"e{i}" for i in range(op.dim)], {"m": op})
+        got = is_invder(d, alg).inverse_derivation.witness
+        want = leibniz_witness(op, d.inverse())
+        assert got == want
+        if got is not None:
             assert_fractions(got.lhs.entries + got.rhs.entries)
 
     def test_public_values_stay_fractions(self):

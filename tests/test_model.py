@@ -261,5 +261,7 @@ class TestSerialization:
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         save_algebra(entry("a3").document, a)
         save_algebra(entry("a3").document, b)
-        assert open(a).read() == open(b).read()
-        json.loads(open(a).read())
+        with open(a) as fa, open(b) as fb:
+            text = fa.read()
+            assert text == fb.read()
+        json.loads(text)
