@@ -11,7 +11,6 @@ instances, so identical inputs always reproduce identical reports.
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -21,27 +20,13 @@ from .axioms import (check_dendriform, check_jacobi, identity_witness,
 from .constructions import is_rota_baxter, twist_by, yau_from_twist
 from .derivations import derivation_space, invder_search, is_invder
 from .errors import InputError, InvderError
-from .model import (Algebra, AlgebraDocument, BilinearOp, LinearMap)
+from .model import (FAMILIES, Algebra, AlgebraDocument, BilinearOp, LinearMap,
+                    max_dimension)
 from .rational import Q
 
 SEARCH_SEED = 0
 SEARCH_RANGE = 3
 SEARCH_SAMPLES = 400
-
-FAMILIES = ("abelian", "heisenberg_like", "filiform", "solvable",
-            "random_nilpotent_tables")
-
-
-def max_dimension() -> int:
-    raw = os.environ.get("INVDER_MAX_DIM", "6")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise InputError(f"INVDER_MAX_DIM must be an integer, got {raw!r}")
-    if cap < 1:
-        raise InputError("INVDER_MAX_DIM must be positive")
-    return cap
-
 
 @dataclass(frozen=True)
 class CatalogEntry:

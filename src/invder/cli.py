@@ -8,6 +8,9 @@ itself failed unexpectedly (a bug, never a verdict).  Every algebra file
 is held to the INVDER_MAX_DIM dimension cap.  Results go to stdout,
 diagnostics to stderr.  With identical arguments, input files and seeds
 the output bytes are identical; no command ever modifies its input file.
+
+Each command imports the modules it runs when it runs, so start-up loads
+no mathematics that the command does not use.
 """
 
 from __future__ import annotations
@@ -16,21 +19,17 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .axioms import AXIOM_IDS, BUNDLES, DELTA_AXIOMS, CheckReport, run_axiom
-from .catalog import (FAMILIES, SearchConfig, catalog, counterexample_search,
-                      entry, max_dimension, run_property_suite, verify_entry)
-from .constructions import (ConstructionResult, RotaBaxterOp, commutator_lie,
-                            dendriform_to_assoc, dendriform_to_prelie,
-                            dendriform_to_zinbiel, endo_lie_from_assoc,
-                            is_rota_baxter, rb_prelie_from_assoc,
-                            rb_prelie_from_lie, twist, yau_iff_check,
-                            zinbiel_to_assoc, zinbiel_to_lie)
-from .derivations import derivation_space, invder_search, is_invder
 from .errors import (InputError, InvderError, NotInvDerError,
                      PreconditionError, SingularMatrixError)
-from .model import Algebra, AlgebraDocument, LinearMap, load_algebra, save_algebra
+from .model import (FAMILIES, Algebra, AlgebraDocument, LinearMap,
+                    load_algebra, max_dimension, save_algebra)
 from .rational import parse_rational
+
+if TYPE_CHECKING:
+    from .axioms import CheckReport
+    from .constructions import ConstructionResult
 
 TRANSFORMS = (
     "commutator-lie", "rb-prelie-from-lie", "rb-prelie-from-assoc",
@@ -123,11 +122,19 @@ def _weight(args):
     return parse_rational(args.weight)
 
 
+def _output_path(path: str | None, flag: str) -> str | None:
+    """An output path as given; an empty one is bad input, not absent."""
+    if path == "":
+        raise InputError(f"{flag} needs a non-empty path")
+    return path
+
+
 def _construction_output(res: ConstructionResult, args,
                          head: str | None = None) -> int:
     # the file is written first, so a failed write prints no report
-    if args.output:
-        save_algebra(res.to_document(), args.output)
+    output = _output_path(args.output, "-o/--output")
+    if output is not None:
+        save_algebra(res.to_document(), output)
     if args.json:
         _emit_json(res.to_dict())
     else:
@@ -136,8 +143,8 @@ def _construction_output(res: ConstructionResult, args,
         _print_reports(res.verification)
         for note in res.notes:
             print(f"note: {note}")
-        if args.output:
-            print(f"wrote {args.output}")
+        if output is not None:
+            print(f"wrote {output}")
     return 0 if res.ok else 1
 
 
@@ -145,6 +152,8 @@ def _construction_output(res: ConstructionResult, args,
 
 
 def cmd_check(args) -> int:
+    from .axioms import AXIOM_IDS, BUNDLES, DELTA_AXIOMS, run_axiom
+
     doc = _load(args)
     alg = doc.algebra
     if args.axiom is None:
@@ -187,6 +196,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_derivations(args) -> int:
+    from .derivations import derivation_space
+
     doc = _load(args)
     alg = doc.algebra
     space = derivation_space(alg, _single_op(args))
@@ -205,6 +216,8 @@ def cmd_derivations(args) -> int:
 
 
 def cmd_invder(args) -> int:
+    from .derivations import is_invder
+
     doc = _load(args)
     alg = doc.algebra
     delta = _required_map(doc, args, "the verdict")
@@ -220,6 +233,8 @@ def cmd_invder(args) -> int:
 
 
 def cmd_invder_search(args) -> int:
+    from .derivations import invder_search
+
     doc = _load(args)
     alg = doc.algebra
     result = invder_search(alg, _single_op(args),
@@ -247,6 +262,8 @@ def cmd_invder_search(args) -> int:
 
 def _twist(doc: AlgebraDocument, args, kind: str | None, why: str
            ) -> ConstructionResult:
+    from .constructions import twist
+
     delta = _required_map(doc, args, why)
     try:
         return twist(doc.algebra, delta, kind, args.op, args.force)
@@ -261,6 +278,12 @@ def cmd_twist(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    from .constructions import (RotaBaxterOp, commutator_lie,
+                                dendriform_to_assoc, dendriform_to_prelie,
+                                dendriform_to_zinbiel, endo_lie_from_assoc,
+                                rb_prelie_from_assoc, rb_prelie_from_lie,
+                                zinbiel_to_assoc, zinbiel_to_lie)
+
     doc = _load(args)
     alg = doc.algebra
     delta = doc.map(args.map) if args.map else None
@@ -290,6 +313,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_rota_baxter(args) -> int:
+    from .constructions import is_rota_baxter
+
     doc = _load(args)
     operator = _required_map(doc, args, "the identity")
     weight = _weight(args)
@@ -312,6 +337,8 @@ def _theorem_twist(kind: str):
 
 def _theorem_axioms(*axioms: str):
     def run(doc: AlgebraDocument, args):
+        from .axioms import run_axiom
+
         delta = _required_map(doc, args, "the identity")
         reports = [run_axiom(doc.algebra, axiom, args.op, delta)
                    for axiom in axioms]
@@ -321,6 +348,9 @@ def _theorem_axioms(*axioms: str):
 
 
 def _theorem_prop21(doc: AlgebraDocument, args):
+    from .axioms import CheckReport
+    from .derivations import is_invder
+
     delta = _required_map(doc, args, "the equivalence")
     verdict = is_invder(delta, doc.algebra, _single_op(args))
     if not (verdict.is_derivation and verdict.is_invertible):
@@ -337,6 +367,9 @@ def _theorem_prop21(doc: AlgebraDocument, args):
 
 def _theorem_yau(kind: str | None):
     def run(doc: AlgebraDocument, args):
+        from .axioms import CheckReport
+        from .constructions import yau_iff_check
+
         delta = _required_map(doc, args, "the equivalence")
         verdict = yau_iff_check(doc.algebra, delta, kind, args.op)
         ok = verdict.forward == verdict.backward
@@ -348,12 +381,16 @@ def _theorem_yau(kind: str | None):
 
 
 def _theorem_commutator(doc: AlgebraDocument, args):
+    from .constructions import commutator_lie
+
     delta = doc.map(args.map) if args.map else None
     res = commutator_lie(doc.algebra, args.op, delta)
     return res.ok, {"construction": res.to_dict()}, res.verification
 
 
 def _theorem_endo(doc: AlgebraDocument, args):
+    from .constructions import endo_lie_from_assoc
+
     delta = doc.map(args.map) if args.map else None
     operator = _required_operator(doc, args, "the endomorphism bracket")
     res = endo_lie_from_assoc(doc.algebra, operator, args.op, delta)
@@ -361,6 +398,8 @@ def _theorem_endo(doc: AlgebraDocument, args):
 
 
 def _theorem_rbo(doc: AlgebraDocument, args):
+    from .constructions import RotaBaxterOp, rb_prelie_from_assoc
+
     delta = doc.map(args.map) if args.map else None
     rbo = RotaBaxterOp(_required_operator(doc, args, "the pre-Lie passage"),
                        _weight(args))
@@ -369,6 +408,8 @@ def _theorem_rbo(doc: AlgebraDocument, args):
 
 
 def _theorem_zinbiel_lie(doc: AlgebraDocument, args):
+    from .constructions import zinbiel_to_lie
+
     delta = doc.map(args.map) if args.map else None
     res = zinbiel_to_lie(doc.algebra, args.op, delta, args.force)
     return res.ok, {"construction": res.to_dict()}, res.verification
@@ -411,6 +452,8 @@ def cmd_verify_theorem(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    from .catalog import run_property_suite
+
     report = run_property_suite(seed=args.seed, samples=args.samples)
     if args.json:
         sys.stdout.write(report.to_json())
@@ -429,6 +472,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_search_counterexample(args) -> int:
+    from .catalog import SearchConfig, counterexample_search
+
     config = SearchConfig(family=args.family, max_dim=args.max_dim,
                           coefficient_range=args.range,
                           max_samples=args.samples, seed=args.seed,
@@ -456,12 +501,15 @@ def cmd_search_counterexample(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import catalog, entry, verify_entry
+
+    dump = _output_path(args.dump, "--dump")
     entries = [entry(args.entry)] if args.entry else list(catalog())
-    if args.dump:
-        os.makedirs(args.dump, exist_ok=True)
+    if dump is not None:
+        os.makedirs(dump, exist_ok=True)
         written = []
         for e in entries:
-            path = os.path.join(args.dump, f"{e.id}.json")
+            path = os.path.join(dump, f"{e.id}.json")
             save_algebra(e.document, path)
             written.append(path)
         if args.json:

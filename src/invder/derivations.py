@@ -20,14 +20,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import lcm
+from typing import TYPE_CHECKING
 
 from .axioms import CheckReport, Witness, identity_witness, leibniz_witness
 from .errors import (InputError, InvderError, NotInvDerError,
                      SingularMatrixError)
 from .linalg import Matrix, Vector, solve
 from .model import Algebra, BilinearOp, LinearMap
-from .poly import Poly, det_poly
 from .rational import Q, ZERO, lean
+
+if TYPE_CHECKING:
+    from .poly import Poly
 
 VANISHING_DET = "generic determinant vanishes"
 
@@ -274,6 +277,10 @@ class InvDerSearchResult:
 
 def generic_determinant(space: DerivationSpace) -> Poly:
     """Determinant of a generic element of the space, as an exact polynomial."""
+    # only the search and the catalog need polynomials; the other commands
+    # do not load them
+    from .poly import Poly, det_poly
+
     n = space.algebra.dim
     m = space.dim
     entries = []

@@ -32,6 +32,7 @@ Fraction again.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -40,6 +41,12 @@ from .linalg import Matrix, Vector
 from .rational import ZERO, Q, format_rational, lean, parse_rational
 
 KINDS = ("lie", "prelie", "associative", "zinbiel", "dendriform")
+
+# the Lie families the counterexample search generates (catalog.py); they
+# live here so that the command line parser can offer them without
+# loading the catalog
+FAMILIES = ("abelian", "heisenberg_like", "filiform", "solvable",
+            "random_nilpotent_tables")
 
 Sparse = dict[int, Fraction]
 ConstantTable = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
@@ -479,6 +486,18 @@ def algebra_to_dict(doc: AlgebraDocument) -> dict:
     if doc.maps:
         data["maps"] = {name: m.to_columns() for name, m in doc.maps}
     return data
+
+
+def max_dimension() -> int:
+    """The INVDER_MAX_DIM dimension cap on input files and searches."""
+    raw = os.environ.get("INVDER_MAX_DIM", "6")
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise InputError(f"INVDER_MAX_DIM must be an integer, got {raw!r}")
+    if cap < 1:
+        raise InputError("INVDER_MAX_DIM must be positive")
+    return cap
 
 
 def load_algebra(path: str) -> AlgebraDocument:

@@ -192,6 +192,24 @@ def test_dimension_cap_applies_to_every_file_command(capsys, algebra_dir,
     assert err.startswith("error: algebra dimension 4 exceeds")
 
 
+@pytest.mark.parametrize("argv", [
+    ("twist", "heisenberg3", "--map", "delta_w", "-o", ""),
+    ("transform", "commutator-lie", "a3", "-o", ""),
+    ("catalog", "--dump", ""),
+], ids=["twist", "transform", "catalog"])
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_empty_output_path_is_an_input_error(capsys, algebra_dir, tmp_path,
+                                             monkeypatch, argv, fmt):
+    monkeypatch.chdir(tmp_path)
+    files = {"heisenberg3": path(algebra_dir, "heisenberg3"),
+             "a3": path(algebra_dir, "a3")}
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv), *fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestInvderVerdict:
     def test_accepted_map(self, capsys, algebra_dir):
         code, out, _ = run(capsys, "invder", path(algebra_dir, "heisenberg3"),
