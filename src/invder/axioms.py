@@ -11,7 +11,9 @@ as a witness carrying the offending indices and both evaluated sides.  It
 evaluates each proper subterm once per assignment of the variables that
 subterm mentions, so [y, z] costs n^2 products per scan, not n^3.
 Verdicts are computed from the structure constants themselves; a kind
-hint on the algebra is never trusted.
+hint on the algebra is never trusted.  The Leibniz rule alone is decided
+by the sparse integer rows of BilinearOp.leibniz, and its row of the table
+only builds the witness, on the first pair those rows reject.
 
 Axiom identifiers form a closed set (AXIOM_IDS).  The ones prefixed with
 "invder" and the two "zinbiel_aux" identities take a linear map delta in
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import InputError
 from .linalg import Vector
@@ -279,12 +281,13 @@ def _memo(f, pos):
 
 
 def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
-          maps: dict[str, LinearMap], alternating: bool = False
-          ) -> Witness | None:
+          maps: dict[str, LinearMap], alternating: bool = False,
+          tuples=None) -> Witness | None:
     """First basis tuple where the row's sides differ, or None.
 
-    The evaluation runs on the lean scalars of the sparse kernels (ints
-    where integral); the witness converts both sides back to Fractions.
+    tuples, when given, replaces the walk over every basis tuple.  The
+    evaluation runs on the lean scalars of the sparse kernels (ints where
+    integral); the witness converts both sides back to Fractions.
     """
     units = [{i: 1} for i in range(dim)]
     steps, lhs_at, rhs_at = row.plan
@@ -300,8 +303,9 @@ def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
             f = _product(ops[head].mul_sparse, fns[kids[0]], fns[kids[1]])
         fns.append(_memo(f, pos) if cached else f)
     lhs, rhs = fns[lhs_at], fns[rhs_at]
-    tuples = combinations(range(dim), row.arity) if alternating \
-        else product(range(dim), repeat=row.arity)
+    if tuples is None:
+        tuples = combinations(range(dim), row.arity) if alternating \
+            else product(range(dim), repeat=row.arity)
     for t in tuples:
         left, right = lhs(t), rhs(t)
         if left != right:
@@ -316,9 +320,25 @@ def identity_witness(identity: str, op: BilinearOp,
     return _scan(IDENTITIES[identity], op.dim, {"op": op}, maps)
 
 
-def leibniz_witness(op: BilinearOp, delta: LinearMap) -> Witness | None:
-    """First basis pair where delta fails the Leibniz rule, if any."""
-    return _scan(IDENTITIES["leibniz"], op.dim, {"op": op}, {"d": delta})
+def leibniz_witness(op: BilinearOp, delta: LinearMap,
+                    entries=None) -> Witness | None:
+    """First basis pair where delta fails the Leibniz rule, if any.
+
+    The pair is the first one with a row of op.leibniz() that does not
+    vanish on delta's lean entries, or on entries when given: any nonzero
+    multiple of them, such as an integral one of a Fraction map.  The
+    leibniz row of the scan then builds the witness on that pair alone,
+    with delta itself.
+    """
+    if delta.dim != op.dim:
+        raise InputError("map dimension does not match operation dimension")
+    flat = delta.lean_entries() if entries is None else entries
+    for pair, rows in op.leibniz():
+        for cells, coeffs in rows:
+            if sum(map(mul, coeffs, map(flat.__getitem__, cells))):
+                return _scan(IDENTITIES["leibniz"], op.dim, {"op": op},
+                             {"d": delta}, tuples=(pair,))
+    return None
 
 
 # ------------------------------------------------------------ the axioms

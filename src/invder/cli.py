@@ -100,7 +100,11 @@ def _load(args) -> AlgebraDocument:
 
 
 def _single_op(args) -> list[str] | None:
-    return [args.op] if args.op else None
+    return None if args.op is None else [args.op]
+
+
+def _optional_map(doc: AlgebraDocument, args) -> LinearMap | None:
+    return None if args.map is None else doc.map(args.map)
 
 
 def _required_map(doc: AlgebraDocument, args, why: str) -> LinearMap:
@@ -122,19 +126,24 @@ def _weight(args):
     return parse_rational(args.weight)
 
 
-def _output_path(path: str | None, flag: str) -> str | None:
-    """An output path as given; an empty one is bad input, not absent."""
-    if path == "":
-        raise InputError(f"{flag} needs a non-empty path")
-    return path
+# options naming a stored object or a path; an empty value is bad input,
+# never the same as leaving the option out
+NAMED_OPTIONS = (("op", "--op", "name"), ("map", "--map", "name"),
+                 ("operator", "--operator", "name"), ("entry", "--entry", "id"),
+                 ("output", "-o/--output", "path"), ("dump", "--dump", "path"))
+
+
+def _reject_empty(args) -> None:
+    for attr, flag, what in NAMED_OPTIONS:
+        if getattr(args, attr, None) == "":
+            raise InputError(f"{flag} needs a non-empty {what}")
 
 
 def _construction_output(res: ConstructionResult, args,
                          head: str | None = None) -> int:
     # the file is written first, so a failed write prints no report
-    output = _output_path(args.output, "-o/--output")
-    if output is not None:
-        save_algebra(res.to_document(), output)
+    if args.output is not None:
+        save_algebra(res.to_document(), args.output)
     if args.json:
         _emit_json(res.to_dict())
     else:
@@ -143,8 +152,8 @@ def _construction_output(res: ConstructionResult, args,
         _print_reports(res.verification)
         for note in res.notes:
             print(f"note: {note}")
-        if output is not None:
-            print(f"wrote {output}")
+        if args.output is not None:
+            print(f"wrote {args.output}")
     return 0 if res.ok else 1
 
 
@@ -168,7 +177,7 @@ def cmd_check(args) -> int:
     else:
         known = ", ".join(list(BUNDLES) + list(AXIOM_IDS))
         raise InputError(f"unknown axiom {args.axiom!r}; known: {known}")
-    delta = doc.map(args.map) if args.map else None
+    delta = _optional_map(doc, args)
     # a row refused as bad input (no map, a map that is not a derivation)
     # does not cost the verdicts of the rows that could run
     reports = []
@@ -286,7 +295,7 @@ def cmd_transform(args) -> int:
 
     doc = _load(args)
     alg = doc.algebra
-    delta = doc.map(args.map) if args.map else None
+    delta = _optional_map(doc, args)
     name = args.name
     if name == "commutator-lie":
         res = commutator_lie(alg, args.op, delta)
@@ -383,7 +392,7 @@ def _theorem_yau(kind: str | None):
 def _theorem_commutator(doc: AlgebraDocument, args):
     from .constructions import commutator_lie
 
-    delta = doc.map(args.map) if args.map else None
+    delta = _optional_map(doc, args)
     res = commutator_lie(doc.algebra, args.op, delta)
     return res.ok, {"construction": res.to_dict()}, res.verification
 
@@ -391,7 +400,7 @@ def _theorem_commutator(doc: AlgebraDocument, args):
 def _theorem_endo(doc: AlgebraDocument, args):
     from .constructions import endo_lie_from_assoc
 
-    delta = doc.map(args.map) if args.map else None
+    delta = _optional_map(doc, args)
     operator = _required_operator(doc, args, "the endomorphism bracket")
     res = endo_lie_from_assoc(doc.algebra, operator, args.op, delta)
     return res.ok, {"construction": res.to_dict()}, res.verification
@@ -400,7 +409,7 @@ def _theorem_endo(doc: AlgebraDocument, args):
 def _theorem_rbo(doc: AlgebraDocument, args):
     from .constructions import RotaBaxterOp, rb_prelie_from_assoc
 
-    delta = doc.map(args.map) if args.map else None
+    delta = _optional_map(doc, args)
     rbo = RotaBaxterOp(_required_operator(doc, args, "the pre-Lie passage"),
                        _weight(args))
     res = rb_prelie_from_assoc(doc.algebra, rbo, args.op, delta)
@@ -410,7 +419,7 @@ def _theorem_rbo(doc: AlgebraDocument, args):
 def _theorem_zinbiel_lie(doc: AlgebraDocument, args):
     from .constructions import zinbiel_to_lie
 
-    delta = doc.map(args.map) if args.map else None
+    delta = _optional_map(doc, args)
     res = zinbiel_to_lie(doc.algebra, args.op, delta, args.force)
     return res.ok, {"construction": res.to_dict()}, res.verification
 
@@ -503,13 +512,12 @@ def cmd_search_counterexample(args) -> int:
 def cmd_catalog(args) -> int:
     from .catalog import catalog, entry, verify_entry
 
-    dump = _output_path(args.dump, "--dump")
-    entries = [entry(args.entry)] if args.entry else list(catalog())
-    if dump is not None:
-        os.makedirs(dump, exist_ok=True)
+    entries = list(catalog()) if args.entry is None else [entry(args.entry)]
+    if args.dump is not None:
+        os.makedirs(args.dump, exist_ok=True)
         written = []
         for e in entries:
-            path = os.path.join(dump, f"{e.id}.json")
+            path = os.path.join(args.dump, f"{e.id}.json")
             save_algebra(e.document, path)
             written.append(path)
         if args.json:
@@ -682,6 +690,7 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        _reject_empty(args)
         return args.handler(args)
     except (InputError, SingularMatrixError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

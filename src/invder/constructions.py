@@ -88,23 +88,30 @@ def _require_source(reports: list[CheckReport], what: str,
             f"{bad[0].witness.indices}")
 
 
+def _leibniz_reports(out: Algebra, delta: LinearMap,
+                     verdict: InvDerVerdict) -> list[CheckReport]:
+    """The carried map's Leibniz reports on out.
+
+    verdict is the map's verdict on the source.  When it accepts, is_invder
+    decides the map on out, cross-checking its two routes there, and gives
+    both reports; otherwise only the map's Leibniz rule on out is checked.
+    """
+    if verdict.accepted:
+        carried = is_invder(delta, out)
+        return [carried.derivation, carried.inverse_derivation]
+    return [is_derivation(delta, out)]
+
+
 def _result(out: Algebra, kind: str, reports: list[CheckReport],
             delta: LinearMap | None, verdict: InvDerVerdict | None,
             notes: tuple[str, ...] = ()) -> ConstructionResult:
-    """The constructed algebra with the carried map's reports appended.
-
-    verdict is the map's verdict on the source.  When it accepts, is_invder
-    decides the map on out, cross-checking its two routes there, and its
-    Leibniz reports are added with the twisted identities of the kind;
-    otherwise only the map's Leibniz rule on out is scanned.
-    """
+    """The constructed algebra with the carried map's reports appended:
+    its Leibniz reports, and for an accepted map the twisted identities of
+    the kind."""
     if delta is not None:
+        reports += _leibniz_reports(out, delta, verdict)
         if verdict.accepted:
-            carried = is_invder(delta, out)
-            reports += [carried.derivation, carried.inverse_derivation]
             reports += invder_identity_axioms(out, kind, delta)
-        else:
-            reports.append(is_derivation(delta, out))
     return ConstructionResult(out, delta, tuple(reports), notes)
 
 
@@ -137,10 +144,15 @@ def twist_by(alg: Algebra, delta: LinearMap, kind: str, verdict: InvDerVerdict,
     are added: the derivation rule always, the inverse and the twisted
     identities of the kind only for an accepted map.
     """
-    names = _kind_op_names(alg, kind, op_name)
-    out = alg.with_ops(f"{alg.name}.twist",
-                       {n: alg.op(n).twist(delta) for n in names}, kind)
+    out = _twisted(alg, delta, kind, op_name)
     return _result(out, kind, kind_axioms(out, kind), delta, verdict)
+
+
+def _twisted(alg: Algebra, delta: LinearMap, kind: str,
+             op_name: str | None) -> Algebra:
+    names = _kind_op_names(alg, kind, op_name)
+    return alg.with_ops(f"{alg.name}.twist",
+                        {n: alg.op(n).twist(delta) for n in names}, kind)
 
 
 @dataclass(frozen=True)
@@ -182,15 +194,19 @@ def yau_iff_check(alg: Algebra, delta: LinearMap, kind: str | None = None,
                   op_name: str | None = None) -> YauVerdict:
     """Evaluate both sides of the twist equivalence on one instance.
 
-    The gate (the source verdict, which must accept), then twist_by, then
-    yau_from_twist on its result; the source kind axioms are scanned here.
+    The gate (the source verdict, which must accept), then the twist with
+    the reports yau_from_twist reads: the kind axioms and the map's
+    Leibniz reports there, without the twisted identities twist_by adds.
+    The source kind axioms are scanned here.
     """
     kind = kind or alg.kind_hint
     if kind is None:
         raise InputError("iff check needs a structure kind")
     names = _kind_op_names(alg, kind, op_name)
     verdict = require_invder(delta, alg, names)
-    result = twist_by(alg, delta, kind, verdict, op_name)
+    out = _twisted(alg, delta, kind, op_name)
+    result = ConstructionResult(out, delta, tuple(
+        kind_axioms(out, kind) + _leibniz_reports(out, delta, verdict)))
     single = names[0] if len(names) == 1 else None
     source_holds = all(r.holds for r in kind_axioms(alg, kind, single))
     return yau_from_twist(alg, kind, source_holds, verdict, result)
@@ -203,12 +219,13 @@ def yau_from_twist(alg: Algebra, kind: str, source_holds: bool,
 
     source_holds is the verdict of the kind axioms on alg and verdict the
     accepted InvDer verdict of the carried map there (InputError for any
-    other); result is twist_by's twist.  Its kind axiom reports give the
-    twisted side, and its derivation and inverse_derivation reports, with
-    the map's invertibility, say whether the map stays InvDer there;
-    nothing is scanned here.  A disagreement is treated as an internal
-    defect rather than a verdict, because the twist by the inverse map
-    recovers the source, so the two sides stand or fall together.
+    other); result is the twist, from twist_by or built with just the
+    reports read here.  Its kind axiom reports give the twisted side, and
+    its derivation and inverse_derivation reports, with the map's
+    invertibility, say whether the map stays InvDer there; nothing is
+    scanned here.  A disagreement is treated as an internal defect rather
+    than a verdict, because the twist by the inverse map recovers the
+    source, so the two sides stand or fall together.
     """
     if not verdict.accepted:
         raise InputError("the twist equivalence needs an accepted verdict")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .axioms import CheckReport, Witness, identity_witness, leibniz_witness
+from .axioms import CheckReport, identity_witness, leibniz_witness
 from .errors import (InputError, InvderError, NotInvDerError,
                      SingularMatrixError)
 from .linalg import Matrix, Vector, solve
@@ -41,16 +41,21 @@ def _selected_ops(alg: Algebra, op_names) -> list[tuple[str, BilinearOp]]:
     return [(name, alg.op(name)) for name in op_names]
 
 
+def _leibniz_report(name: str, delta: LinearMap, ops,
+                    entries=None) -> CheckReport:
+    for _, op in ops:
+        w = leibniz_witness(op, delta, entries)
+        if w is not None:
+            return CheckReport(name, False, w)
+    return CheckReport(name, True)
+
+
 def is_derivation(delta: LinearMap, alg: Algebra,
                   op_names=None) -> CheckReport:
     """Leibniz rule for delta on every selected operation."""
     if delta.dim != alg.dim:
         raise InputError("map dimension does not match algebra dimension")
-    for _, op in _selected_ops(alg, op_names):
-        w = leibniz_witness(op, delta)
-        if w is not None:
-            return CheckReport("derivation", False, w)
-    return CheckReport("derivation", True)
+    return _leibniz_report("derivation", delta, _selected_ops(alg, op_names))
 
 
 def check_squared_leibniz(alg: Algebra, op_name: str | None,
@@ -116,40 +121,29 @@ class DerivationSpace:
 
 
 def derivation_space(alg: Algebra, op_names=None) -> DerivationSpace:
-    """Solve the Leibniz system exactly for all selected operations."""
+    """Solve the Leibniz system exactly for all selected operations.
+
+    The system is the Leibniz rows of the selected operations, each row
+    once; the basis comes from the unique reduced row echelon form, so it
+    does not depend on which rows or in which order.
+    """
     n = alg.dim
     selected = _selected_ops(alg, op_names)
-    lookups = []
-    for _, op in selected:
-        lookups.append({key: dict(pairs) for key, pairs in op.constants})
-
-    rows: list[list] = []
-    for table in lookups:
-        for i in range(n):
-            for j in range(n):
-                prod_ij = table.get((i, j), {})
-                for k in range(n):
-                    row = [ZERO] * (n * n)
-                    for l, c in prod_ij.items():
-                        row[k * n + l] += c
-                    for m in range(n):
-                        c = table.get((m, j), {}).get(k)
-                        if c:
-                            row[m * n + i] -= c
-                        c = table.get((i, m), {}).get(k)
-                        if c:
-                            row[m * n + j] -= c
-                    if any(row):
-                        rows.append(row)
-
+    rows = dict.fromkeys(row for _, op in selected
+                         for _, group in op.leibniz() for row in group)
     if not rows:
         # every map is a derivation (all products vanish)
         basis = tuple(LinearMap(Matrix(n, n, tuple(
             Q(1) if e == idx else ZERO for e in range(n * n))))
             for idx in range(n * n))
     else:
-        kernel = Matrix(len(rows), n * n,
-                        tuple(v for row in rows for v in row)).kernel_basis()
+        cells = []
+        for positions, coeffs in rows:
+            dense = [ZERO] * (n * n)
+            for e, c in zip(positions, coeffs):
+                dense[e] = Q(c)
+            cells.extend(dense)
+        kernel = Matrix(len(rows), n * n, tuple(cells)).kernel_basis()
         basis = tuple(LinearMap(Matrix(n, n, v.entries)) for v in kernel)
     return DerivationSpace(alg, tuple(name for name, _ in selected), basis)
 
@@ -196,20 +190,17 @@ def _square_condition(delta: LinearMap, ops) -> bool:
 
 
 def _inverse_report(inv: LinearMap, alg: Algebra, op_names) -> CheckReport:
-    """is_derivation of the inverse, scanned on int arithmetic.
+    """is_derivation of the inverse, decided on int arithmetic.
 
-    The Leibniz rule is linear in the map, so an integral multiple of the
-    inverse fails at the same basis pair, and its witness divided by the
-    scale is the one the inverse itself gives.
+    The Leibniz rows vanish on a map exactly when they vanish on a nonzero
+    multiple of it, so they run on the inverse's entries times the lcm of
+    their denominators; the witness is built on the inverse itself.
     """
     scale = lcm(*(v.denominator for v in inv.matrix.entries))
-    report = is_derivation(inv.scale(scale) if scale != 1 else inv, alg,
-                           op_names)
-    w = report.witness
-    if w is not None and scale != 1:
-        w = Witness(w.indices, w.lhs.scale(Q(1, scale)),
-                    w.rhs.scale(Q(1, scale)))
-    return CheckReport("inverse_derivation", report.holds, w)
+    entries = tuple(v.numerator * (scale // v.denominator)
+                    for v in inv.matrix.entries)
+    return _leibniz_report("inverse_derivation", inv,
+                           _selected_ops(alg, op_names), entries)
 
 
 def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:

@@ -35,6 +35,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError
 from .linalg import Matrix, Vector
@@ -50,6 +51,9 @@ FAMILIES = ("abelian", "heisenberg_like", "filiform", "solvable",
 
 Sparse = dict[int, Fraction]
 ConstantTable = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+# a sparse integer row: the positions of its nonzero coefficients, and them
+IntRow = tuple[tuple[int, ...], tuple[int, ...]]
+LeibnizRows = tuple[tuple[tuple[int, int], tuple[IntRow, ...]], ...]
 
 
 def _normalise_entry(dim: int, pairs) -> tuple[tuple[int, Fraction], ...]:
@@ -102,6 +106,25 @@ class BilinearOp:
             cached = {key: tuple((k, lean(c)) for k, c in pairs)
                       for key, pairs in self.constants}
             object.__setattr__(self, "_idx", cached)
+        return cached
+
+    def leibniz(self) -> LeibnizRows:
+        """The Leibniz operator of this product, built once per instance.
+
+        The residual delta(e_i e_j) - (delta e_i) e_j - e_i (delta e_j) is
+        linear in the n^2 entries of delta, taken row by row (entry (a, b)
+        at a*n + b), so each of its coordinates is a row over them.  The
+        rows are grouped by basis pair (i, j) in lexicographic order; each
+        is scaled to coprime integers with a positive first coefficient,
+        and a pair keeps only the rows no earlier pair has, since those
+        vanish on any map that passes the earlier pairs.  Pairs left with
+        no row are dropped.  A map is a derivation exactly when every row
+        vanishes on its entries.
+        """
+        cached = getattr(self, "_leibniz", None)
+        if cached is None:
+            cached = _leibniz_rows(self.dim, self._index())
+            object.__setattr__(self, "_leibniz", cached)
         return cached
 
     def is_zero(self) -> bool:
@@ -207,6 +230,57 @@ class BilinearOp:
             raise InputError("operation dimension mismatch")
 
 
+def _leibniz_rows(n: int, idx: ConstantTable) -> LeibnizRows:
+    """The rows of BilinearOp.leibniz, from the nonzero constants alone.
+
+    A constant v, the e_c coordinate of e_a e_b, enters 3n coefficients:
+    v delta[t][c] in coordinate t of delta(e_a e_b), and -v delta[a][t],
+    -v delta[b][t] in coordinate c of (delta e_t) e_b and of
+    e_a (delta e_t).
+    """
+    rows: dict[tuple[int, int, int], dict[int, int | Fraction]] = {}
+    for (a, b), pairs in idx.items():
+        for c, v in pairs:
+            for t in range(n):
+                row = rows.setdefault((a, b, t), {})
+                e = t * n + c
+                row[e] = row.get(e, 0) + v
+                row = rows.setdefault((t, b, c), {})
+                e = a * n + t
+                row[e] = row.get(e, 0) - v
+                row = rows.setdefault((a, t, c), {})
+                e = b * n + t
+                row[e] = row.get(e, 0) - v
+    seen: set[IntRow] = set()
+    grouped: dict[tuple[int, int], list[IntRow]] = {}
+    for key in sorted(rows):
+        row = _primitive(rows[key])
+        if row is not None and row not in seen:
+            seen.add(row)
+            grouped.setdefault(key[:2], []).append(row)
+    return tuple((pair, tuple(group)) for pair, group in grouped.items())
+
+
+def _primitive(row: dict[int, int | Fraction]) -> IntRow | None:
+    """A nonzero row as coprime integers with a positive first one."""
+    cells = sorted(row)
+    values = [row[e] for e in cells]
+    if 0 in values:  # coefficients that cancelled
+        cells = [e for e in cells if row[e]]
+        if not cells:
+            return None
+        values = [row[e] for e in cells]
+    if Fraction in map(type, values):
+        den = lcm(*(v.denominator for v in values))
+        values = [int(v * den) for v in values]
+    g = gcd(*values)
+    if values[0] < 0:
+        g = -g
+    if g != 1:
+        values = [v // g for v in values]
+    return tuple(cells), tuple(values)
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """Square matrix acting on the algebra, column j = image of basis j."""
@@ -269,6 +343,15 @@ class LinearMap:
                 for j in range(self.dim))
             object.__setattr__(self, "_cols", cols)
         return cols[j]
+
+    def lean_entries(self) -> tuple:
+        """The entries row by row, as lean scalars, as the Leibniz rows
+        of BilinearOp.leibniz index them."""
+        flat = getattr(self, "_flat", None)
+        if flat is None:
+            flat = tuple(lean(v) for v in self.matrix.entries)
+            object.__setattr__(self, "_flat", flat)
+        return flat
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""

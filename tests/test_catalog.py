@@ -11,6 +11,7 @@ from invder import (FAMILIES, LinearMap, SearchConfig, catalog,
 from invder import derivations
 from invder.derivations import DerivationSpace
 from invder.linalg import Matrix
+from invder.model import BilinearOp
 from invder.errors import InputError, InvderError
 
 
@@ -240,3 +241,21 @@ class TestOneVerdictPerMap:
         # one inversion per verdict; every Leibniz scan is a verdict's own
         # but the 11 of the forced twists of the stored non-InvDer maps
         assert calls == {"invert": 70, "leibniz": 158}
+
+
+def test_hunt_decides_the_leibniz_rule_by_rows(monkeypatch):
+    """The Leibniz rule costs no products; the square condition, the
+    twisted kind axioms and the witnesses make the rest (17235 when the
+    rule was scanned pair by pair)."""
+    calls = []
+    original = BilinearOp.mul_sparse
+
+    def counted(op, x, y):
+        calls.append(1)
+        return original(op, x, y)
+
+    monkeypatch.setattr(BilinearOp, "mul_sparse", counted)
+    report = counterexample_search(SearchConfig(
+        "random_nilpotent_tables", max_dim=4, max_samples=8, seed=1))
+    assert report.candidates_found == 73
+    assert len(calls) == 6492

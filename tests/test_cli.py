@@ -1,4 +1,5 @@
 """Command line interface: exit codes, output contract, file round trips."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -208,6 +209,28 @@ def test_empty_output_path_is_an_input_error(capsys, algebra_dir, tmp_path,
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "--entry", ""),
+    ("catalog", "--entry", "", "--verify"),
+    ("transform", "commutator-lie", "a3", "--map", ""),
+    ("verify-theorem", "prop-3.5", "a3", "--map", ""),
+    ("check", "a3_dendriform", "--op", ""),
+    ("derivations", "a3", "--op", ""),
+    ("invder", "heisenberg3", "--map", "delta_w", "--op", ""),
+    ("invder-search", "heisenberg3", "--op", ""),
+], ids=["catalog", "catalog-verify", "transform-map", "theorem-map",
+        "check-op", "derivations-op", "invder-op", "search-op"])
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_empty_option_value_is_an_input_error(capsys, algebra_dir, argv,
+                                              fmt):
+    files = {name: path(algebra_dir, name)
+             for name in ("a3", "a3_dendriform", "heisenberg3")}
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv), *fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestInvderVerdict:
@@ -440,6 +463,27 @@ class TestVerifyTheorem:
                            "--map", "diag112")
         assert code == 2
         assert "--force" in err
+
+    def test_equivalence_output_bytes(self, capsys, algebra_dir):
+        # the sha256 of these outputs before yau_iff_check stopped scanning
+        # the twisted identities
+        cases = [("thm-yau", "a3", "delta_A"),
+                 ("thm-yau", "heisenberg3", "delta_w"),
+                 ("cor-yau", "heisenberg3", "delta_w"),
+                 ("cor-yau", "a3", "delta_A"),
+                 ("cor-yau", "a3_zinbiel", "delta_A"),
+                 ("cor-yau", "a3_dendriform", "delta_A"),
+                 ("cor-yau", "heisenberg3", "diag112")]
+        outputs = []
+        for name, entry_id, map_name in cases:
+            for fmt in ((), ("--json",)):
+                code, out, _ = run(capsys, "verify-theorem", name,
+                                   path(algebra_dir, entry_id),
+                                   "--map", map_name, *fmt)
+                outputs.append(f"{code}\n{out}")
+        digest = hashlib.sha256("".join(outputs).encode()).hexdigest()
+        assert digest == ("383dfbe3baf84d478aac6ee80be96de2"
+                          "99ec50e16ce442d3e7a237429260f319")
 
     def test_unknown_theorem(self, capsys, algebra_dir):
         code = main(["verify-theorem", "thm-9.9",

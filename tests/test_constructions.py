@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from invder import constructions
 from invder import (Algebra, LinearMap, RotaBaxterOp, commutator_lie,
                     commutes, dendriform_to_assoc, dendriform_to_prelie,
                     dendriform_to_zinbiel, endo_lie_from_assoc, entry,
@@ -145,6 +146,26 @@ class TestYau:
         e = entry("heisenberg3")
         with pytest.raises(NotInvDerError):
             yau_iff_check(e.algebra, e.document.map("diag112"), "lie")
+
+    def test_twisted_identities_are_not_scanned(self, monkeypatch):
+        # yau_from_twist never reads them, so the check does not pay for them
+        calls = []
+        original = constructions.invder_identity_axioms
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, "invder_identity_axioms", counted)
+        for entry_id, map_name, kind in [
+                ("heisenberg3", "delta_w", None), ("a3", "delta_A", None),
+                ("a3", "delta_A", "associative"),
+                ("a3_zinbiel", "delta_A", None),
+                ("a3_dendriform", "delta_A", None)]:
+            e = entry(entry_id)
+            v = yau_iff_check(e.algebra, e.document.map(map_name), kind)
+            assert v.forward and v.backward, entry_id
+        assert calls == []
 
 
 class TestCommutatorPassage:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from invder import (InvDerAlgebra, LinearMap, catalog, derivation_space,
                     entry, generic_determinant, invder_search, is_derivation,
-                    is_invder)
+                    is_invder, load_algebra, model, run_axiom)
 from invder.errors import InputError, NotInvDerError
 
 
@@ -195,3 +195,40 @@ class TestSearch:
             invder_search(alg, coefficient_range=0)
         with pytest.raises(InputError):
             invder_search(alg, max_samples=0)
+
+
+class TestLeibnizOperator:
+    """Each operation builds its Leibniz rows once, for every use."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        seen = []
+        original = model._leibniz_rows
+
+        def counted(n, idx):
+            seen.append(n)
+            return original(n, idx)
+
+        monkeypatch.setattr(model, "_leibniz_rows", counted)
+        return seen
+
+    @pytest.mark.parametrize("entry_id,operations", [
+        ("heisenberg3", 1), ("a3", 1), ("a3_dendriform", 2)])
+    def test_one_build_per_operation(self, builds, algebra_dir, entry_id,
+                                     operations):
+        # a freshly loaded file, so no earlier test has built the rows
+        doc = load_algebra(str(algebra_dir / f"{entry_id}.json"))
+        alg = doc.algebra
+        space = derivation_space(alg)
+        assert len(builds) == operations
+        maps = [m for _, m in doc.maps] + list(space.basis) \
+            + [space.combination(range(1, space.dim + 1))]
+        for m in maps:
+            is_derivation(m, alg)
+            is_invder(m, alg)
+            for name in alg.op_names():
+                derivation_space(alg, [name])
+                is_invder(m, alg, [name])
+        if alg.kind_hint == "lie":
+            run_axiom(alg, "identity_25", None, doc.map("delta_w"))
+        assert len(builds) == operations

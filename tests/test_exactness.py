@@ -1,23 +1,28 @@
-"""The lean kernels and the zero-skipping elimination against plain references.
+"""The lean kernels, the elimination and the Leibniz operator against
+plain references.
 
 The sparse kernels hold integral values as ints, rref updates only the
-nonzero cells of a pivot row, and det and invert eliminate fraction-free on
-integer rows.  Each is compared here with a plain dense Fraction
-computation written out in this file, on tables, maps and matrices with
-zero rows and columns and with non-integral entries, and every public value
-is checked to be a Fraction.
+nonzero cells of a pivot row, det and invert eliminate fraction-free on
+integer rows, and the Leibniz rule is decided by the sparse integer rows of
+BilinearOp.leibniz.  Each is compared here with a plain computation written
+out in this file (dense Fractions, the full scan of the leibniz row, the
+dense Leibniz system), on tables, maps and matrices with zero rows and
+columns and with non-integral entries, and every public value is checked to
+be a Fraction.
 """
 from fractions import Fraction as Q
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from invder import (Algebra, BilinearOp, LinearMap, catalog, derivation_space,
-                    entry, is_invder)
-from invder.axioms import (IDENTITIES, VARIABLES, identity_witness,
+from invder import (FAMILIES, Algebra, BilinearOp, LinearMap, SearchConfig,
+                    catalog, derivation_space, entry, is_derivation, is_invder)
+from invder.axioms import (IDENTITIES, VARIABLES, _scan, identity_witness,
                            leibniz_witness)
+from invder.catalog import _family_algebras
 from invder.errors import SingularMatrixError
 from invder.linalg import Matrix, Vector
 
@@ -25,6 +30,7 @@ from invder.linalg import Matrix, Vector
 VALUES = [Q(0), Q(0), Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-2, 3),
           Q(5, 4)]
 values = st.sampled_from(VALUES)
+nonzero_values = st.sampled_from([v for v in VALUES if v])
 
 # the single-operation rows, each with the maps it names
 SINGLE_OP_ROWS = sorted(row.id for row in IDENTITIES.values()
@@ -33,7 +39,11 @@ SINGLE_OP_ROWS = sorted(row.id for row in IDENTITIES.values()
 
 @st.composite
 def tables(draw, max_dim=3):
-    n = draw(st.integers(1, max_dim))
+    return draw(tables_of(draw(st.integers(1, max_dim))))
+
+
+@st.composite
+def tables_of(draw, n):
     table = {(i, j): {k: draw(values) for k in range(n)}
              for i in range(n) for j in range(n)}
     return BilinearOp.from_dict(n, table)
@@ -275,3 +285,142 @@ class TestElimination:
         want, _ = ref_rref([row + [Q(int(i == j)) for j in range(n)]
                             for i, row in enumerate(rows)])
         assert inv.row_lists() == [row[n:] for row in want]
+
+
+# ------------------------------------------------------ the Leibniz operator
+
+
+def scanned_leibniz(op: BilinearOp, delta: LinearMap):
+    """The leibniz row of the scan, walked over every basis pair."""
+    return _scan(IDENTITIES["leibniz"], op.dim, {"op": op}, {"d": delta})
+
+
+def as_dict(witness):
+    return None if witness is None else witness.to_dict()
+
+
+def dense_derivation_basis(ops, n: int) -> list:
+    """Kernel of the dense n^3 x n^2 Fraction Leibniz system, one row per
+    operation, basis pair and coordinate."""
+    rows = []
+    for op in ops:
+        table = {key: dict(pairs) for key, pairs in op.constants}
+        for i, j, k in product(range(n), repeat=3):
+            row = [Q(0)] * (n * n)
+            for l, c in table.get((i, j), {}).items():
+                row[k * n + l] += c
+            for m in range(n):
+                row[m * n + i] -= table.get((m, j), {}).get(k, 0)
+                row[m * n + j] -= table.get((i, m), {}).get(k, 0)
+            if any(row):
+                rows.append(row)
+    if not rows:
+        return [tuple(Q(int(e == t)) for e in range(n * n))
+                for t in range(n * n)]
+    kernel = Matrix(len(rows), n * n,
+                    tuple(v for row in rows for v in row)).kernel_basis()
+    return [v.entries for v in kernel]
+
+
+@st.composite
+def leibniz_candidates(draw, op):
+    """A map for op: arbitrary, a derivation, or a derivation with one entry
+    changed, so that it fails late in the walk as well as early."""
+    n = op.dim
+    how = draw(st.sampled_from(("any", "derivation", "changed")))
+    if how == "any":
+        return draw(square_maps(n))
+    space = derivation_space(Algebra.build(
+        "t", [f"e{i}" for i in range(n)], {"m": op}))
+    delta = space.combination([draw(values) for _ in range(space.dim)])
+    if how == "changed":
+        entries = list(delta.matrix.entries)
+        entries[draw(st.integers(0, n * n - 1))] += draw(nonzero_values)
+        delta = LinearMap(Matrix(n, n, tuple(entries)))
+    return delta
+
+
+# structured operations, whose derivation spaces are not zero
+STRUCTURED_OPS = [e.algebra.op() for e in catalog()
+                  if len(e.algebra.ops) == 1] \
+    + [a.op() for family in FAMILIES for a in _family_algebras(
+        SearchConfig(family, max_dim=4, tables_per_dim=2))[0]]
+
+
+def integral_multiple(m: LinearMap) -> tuple:
+    scale = lcm(*(v.denominator for v in m.matrix.entries))
+    return tuple(int(v * scale) for v in m.matrix.entries)
+
+
+class TestLeibnizOperator:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_witness_matches_the_full_scan(self, data):
+        op = data.draw(st.one_of(tables(), st.sampled_from(STRUCTURED_OPS)))
+        delta = data.draw(leibniz_candidates(op))
+        got = leibniz_witness(op, delta)
+        assert got == scanned_leibniz(op, delta)
+        assert as_dict(got) == as_dict(scanned_leibniz(op, delta))
+        if not delta.is_invertible():
+            return
+        inv = delta.inverse()
+        want = scanned_leibniz(op, inv)
+        assert leibniz_witness(op, inv) == want
+        # the rows decide on a multiple, the witness is the inverse's own
+        got = leibniz_witness(op, inv, integral_multiple(inv))
+        assert as_dict(got) == as_dict(want)
+        alg = Algebra.build("t", [f"e{i}" for i in range(op.dim)], {"m": op})
+        assert is_invder(delta, alg).inverse_derivation.witness == want
+
+    @pytest.mark.parametrize("entry_id,map_name", [
+        ("z3", "grading123"), ("heisenberg3", "delta_w"),
+        ("heisenberg3", "diag112"), ("so3", "ad_e1"), ("a3", "delta_A")])
+    def test_catalog_maps_match_the_full_scan(self, entry_id, map_name):
+        e = entry(entry_id)
+        op, delta = e.algebra.op(), e.document.map(map_name)
+        for m in (delta, LinearMap.identity(op.dim), delta.square()):
+            assert as_dict(leibniz_witness(op, m)) \
+                == as_dict(scanned_leibniz(op, m))
+
+    @staticmethod
+    def assert_first_scan_failure(delta: LinearMap, alg: Algebra) -> None:
+        report = is_derivation(delta, alg)
+        want = next((w for w in (scanned_leibniz(op, delta)
+                                 for _, op in alg.ops) if w is not None), None)
+        assert report.holds == (want is None)
+        assert as_dict(report.witness) == as_dict(want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_two_operations_match_the_full_scans(self, data):
+        left = data.draw(tables())
+        right = data.draw(tables_of(left.dim))
+        alg = Algebra.build("t", [f"e{i}" for i in range(left.dim)],
+                            {"left": left, "right": right})
+        for op in (left, right):
+            self.assert_first_scan_failure(
+                data.draw(leibniz_candidates(op)), alg)
+
+    def test_catalog_dendriform_pair_matches_the_full_scans(self):
+        e = entry("a3_dendriform")
+        for _, delta in e.document.maps:
+            for m in (delta, delta.square(), LinearMap.identity(3)):
+                self.assert_first_scan_failure(m, e.algebra)
+
+    def test_derivation_spaces_match_the_dense_system(self):
+        algebras = [e.algebra for e in catalog()]
+        for family in FAMILIES:
+            algebras += _family_algebras(SearchConfig(
+                family, max_dim=6, tables_per_dim=3))[0]
+        for alg in algebras:
+            selections = [None] + ([[name] for name in alg.op_names()]
+                                   if len(alg.ops) > 1 else [])
+            for names in selections:
+                ops = [alg.op(name) for name in names or alg.op_names()]
+                space = derivation_space(alg, names)
+                assert [b.matrix.entries for b in space.basis] \
+                    == dense_derivation_basis(ops, alg.dim), (alg.name, names)
+                for b in space.basis:
+                    assert_fractions(b.matrix.entries)
