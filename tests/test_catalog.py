@@ -245,8 +245,7 @@ class TestOneVerdictPerMap:
 
 def test_hunt_decides_the_leibniz_rule_by_rows(monkeypatch):
     """The Leibniz rule costs no products; the square condition, the
-    twisted kind axioms and the witnesses make the rest (17235 when the
-    rule was scanned pair by pair)."""
+    twisted kind axioms and the witnesses make all of these."""
     calls = []
     original = BilinearOp.mul_sparse
 

@@ -465,8 +465,8 @@ class TestVerifyTheorem:
         assert "--force" in err
 
     def test_equivalence_output_bytes(self, capsys, algebra_dir):
-        # the sha256 of these outputs before yau_iff_check stopped scanning
-        # the twisted identities
+        # yau_iff_check leaves the twisted identities out; the bytes it
+        # prints must not depend on them
         cases = [("thm-yau", "a3", "delta_A"),
                  ("thm-yau", "heisenberg3", "delta_w"),
                  ("cor-yau", "heisenberg3", "delta_w"),
