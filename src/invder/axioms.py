@@ -4,12 +4,15 @@ Every identity handled here is multilinear, so it holds for all vectors iff
 it holds on all basis tuples.  Each one is a row of IDENTITIES: two sides
 written as signed sums of products over the variables x, y, z, under named
 operations ("op", or "left" and "right" for a dendriform pair) and named
-linear maps ("d" for delta, "d2" for its square, "R" and "lam" for a
-Rota-Baxter operator and its weight, "P" for an endomorphism).  One scan
-walks basis tuples in lexicographic order and reports the first violation
-as a witness carrying the offending indices and both evaluated sides.  It
-evaluates each proper subterm once per assignment of the variables that
-subterm mentions, so [y, z] costs n^2 products per scan, not n^3.
+linear maps ("d" for delta, applied twice for its square, "R" and "lam"
+for a Rota-Baxter operator and its weight, "P" for an endomorphism).  One
+scan walks basis tuples in lexicographic order and reports the first
+violation as a witness carrying the offending indices and both evaluated
+sides.  A subterm on basis vectors alone, such as [y, z] or delta x, is
+read off the operation's index of basis products or the map's columns,
+so it costs no product at all; every other proper subterm is evaluated
+once per assignment of the variables it mentions, so delta [y, z] costs
+n^2 map applications per scan, not n^3.
 Verdicts are computed from the structure constants themselves; a kind
 hint on the algebra is never trusted.  The Leibniz rule alone is decided
 by the sparse integer rows of BilinearOp.leibniz, and its row of the table
@@ -106,8 +109,12 @@ class Identity:
         """Distinct subterms in evaluation order, and where the sides are.
 
         Each step is (head, child steps, coefficients, variable positions,
-        cached); a subterm is cached when it mentions fewer variables than
-        the identity, since it then repeats across the scan.
+        how).  how is "read" for a variable, for an operation of two
+        variables and for a map of one variable: on basis vectors these
+        are a unit vector, a basis product and a column, read off tables
+        built once.  It is "memo" for any other subterm that mentions
+        fewer variables than the identity, since it then repeats across
+        the scan, and "eval" for the rest.
         """
         steps: list[tuple] = []
         seen: dict[tuple, int] = {}
@@ -118,9 +125,15 @@ class Identity:
             if key not in seen:
                 pos = tuple(i for i, v in enumerate(VARIABLES)
                             if v in t.variables)
-                cached = t.head not in VARIABLES and len(pos) < self.arity
+                if t.head in VARIABLES or t.head != "+" and all(
+                        steps[k][0] in VARIABLES for k in kids):
+                    how = "read"
+                elif len(pos) < self.arity:
+                    how = "memo"
+                else:
+                    how = "eval"
                 seen[key] = len(steps)
-                steps.append((t.head, kids, t.coeffs, pos, cached))
+                steps.append((t.head, kids, t.coeffs, pos, how))
             return seen[key]
 
         lhs, rhs = visit(self.lhs), visit(self.rhs)
@@ -138,7 +151,7 @@ def _table() -> dict[str, Identity]:
         return lambda a: Term(name, (a,))
 
     op, left, right = binary("op"), binary("left"), binary("right")
-    d, d2, R, lam, P = (unary(m) for m in ("d", "d2", "R", "lam", "P"))
+    d, R, lam, P = (unary(m) for m in ("d", "R", "lam", "P"))
 
     rows = [
         Identity("skew_symmetry", op(x, y), -op(y, x), "lie"),
@@ -187,10 +200,10 @@ def _table() -> dict[str, Identity]:
         Identity("leibniz", d(op(x, y)), op(d(x), y) + op(x, d(y)),
                  axiom=False),
         # for a derivation; the cross term keeps delta^2 from being one
-        Identity("squared_leibniz", d2(op(x, y)),
-                 op(d2(x), y) + op(x, d2(y)) + 2 * op(d(x), d(y)),
+        Identity("squared_leibniz", d(d(op(x, y))),
+                 op(d(d(x)), y) + op(x, d(d(y))) + 2 * op(d(x), d(y)),
                  axiom=False),
-        Identity("square_condition", op(d(x), d(y)), d2(op(x, y)),
+        Identity("square_condition", op(d(x), d(y)), d(d(op(x, y))),
                  axiom=False),
         Identity("rota_baxter", op(R(x), R(y)),
                  R(op(R(x), y) + op(x, R(y)) + lam(op(x, y))), axiom=False),
@@ -243,8 +256,21 @@ class CheckReport:
 # ---------------------------------------------------------------- the scan
 
 
+# the product of a basis pair absent from an operation's index; like the
+# index itself it is only ever read
+_NO_PRODUCT: dict = {}
+
+
 def _variable(units, p):
     return lambda t: units[t[p]]
+
+
+def _basis_product(index, p, q):
+    return lambda t: index[t[p]].get(t[q], _NO_PRODUCT)
+
+
+def _basis_image(column, p):
+    return lambda t: column(t[p])
 
 
 def _mapped(apply, a):
@@ -287,21 +313,30 @@ def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
 
     tuples, when given, replaces the walk over every basis tuple.  The
     evaluation runs on the lean scalars of the sparse kernels (ints where
-    integral); the witness converts both sides back to Fractions.
+    integral); the witness converts both sides back to Fractions.  The
+    steps that read a basis product or a column return the dicts shared
+    with the operation's index and the map's column cache, which no step
+    mutates.
     """
     units = [{i: 1} for i in range(dim)]
     steps, lhs_at, rhs_at = row.plan
     fns: list = []
-    for head, kids, coeffs, pos, cached in steps:
+    for head, kids, coeffs, pos, how in steps:
         if head in VARIABLES:
             f = _variable(units, pos[0])
         elif head == "+":
             f = _signed_sum(coeffs, [fns[k] for k in kids])
+        elif how == "read":
+            at = [steps[k][3][0] for k in kids]
+            if len(kids) == 1:
+                f = _basis_image(maps[head].column_sparse, *at)
+            else:
+                f = _basis_product(ops[head]._index(), *at)
         elif len(kids) == 1:
             f = _mapped(maps[head].apply_sparse, fns[kids[0]])
         else:
             f = _product(ops[head].mul_sparse, fns[kids[0]], fns[kids[1]])
-        fns.append(_memo(f, pos) if cached else f)
+        fns.append(_memo(f, pos) if how == "memo" else f)
     lhs, rhs = fns[lhs_at], fns[rhs_at]
     if tuples is None:
         tuples = combinations(range(dim), row.arity) if alternating \

@@ -11,8 +11,9 @@ derivation.  For any invertible derivation this is equivalent to the square
 condition mu(delta x, delta y) = delta^2 mu(x, y); is_invder computes both
 routes independently and refuses to return if they ever disagree.  It is
 the one place that decides the question, on a source algebra or on one a
-construction has built: its verdict also carries the two Leibniz reports
-and the inverse it computed, so no caller scans or inverts again.
+construction has built: its verdict also carries the two Leibniz reports,
+the square-condition report and the inverse it computed, so no caller
+scans or inverts again.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ def check_squared_leibniz(alg: Algebra, op_name: str | None,
     delta^2 (x y) = (delta^2 x) y + x (delta^2 y) + 2 (delta x)(delta y);
     the cross term is what keeps delta^2 from being a derivation itself.
     """
-    witness = identity_witness("squared_leibniz", alg.op(op_name),
-                               d=delta, d2=delta.square())
+    witness = identity_witness("squared_leibniz", alg.op(op_name), d=delta)
     return CheckReport("squared_leibniz", witness is None, witness)
 
 
@@ -152,10 +152,10 @@ def derivation_space(alg: Algebra, op_names=None) -> DerivationSpace:
 class InvDerVerdict:
     """Flags for one candidate map; accepted means all three hold.
 
-    The Leibniz reports behind the two derivation flags and the inverse
-    ride along for callers that need them; they are left out of equality
-    and of to_dict.  inverse and inverse_derivation are None for a
-    singular map.
+    The reports behind the two derivation flags and the square condition,
+    and the inverse, ride along for callers that need them; they are left
+    out of equality and of to_dict.  inverse and inverse_derivation are
+    None for a singular map.
     """
 
     is_derivation: bool
@@ -167,6 +167,8 @@ class InvDerVerdict:
     inverse_derivation: CheckReport | None = field(default=None,
                                                    compare=False, repr=False)
     inverse: LinearMap | None = field(default=None, compare=False, repr=False)
+    square: CheckReport | None = field(default=None, compare=False,
+                                       repr=False)
 
     @property
     def accepted(self) -> bool:
@@ -183,10 +185,14 @@ class InvDerVerdict:
         }
 
 
-def _square_condition(delta: LinearMap, ops) -> bool:
-    d2 = delta.square()
-    return all(identity_witness("square_condition", op, d=delta, d2=d2) is None
-               for _, op in ops)
+def _square_condition(delta: LinearMap, ops) -> CheckReport:
+    """mu(delta x, delta y) = delta(delta mu(x, y)) on every selected op;
+    the witness is the first failing pair of the first failing op."""
+    for _, op in ops:
+        w = identity_witness("square_condition", op, d=delta)
+        if w is not None:
+            return CheckReport("square_condition", False, w)
+    return CheckReport("square_condition", True)
 
 
 def _inverse_report(inv: LinearMap, alg: Algebra, op_names) -> CheckReport:
@@ -213,14 +219,14 @@ def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
     square = _square_condition(delta, _selected_ops(alg, op_names))
     inverse = None if inv is None else _inverse_report(inv, alg, op_names)
     inverse_deriv = inverse is not None and inverse.holds
-    if deriv.holds and inv is not None and inverse_deriv != square:
+    if deriv.holds and inv is not None and inverse_deriv != square.holds:
         # the two characterisations are provably equivalent for invertible
         # derivations; disagreement means a defect in this package
         raise InvderError(
             "internal inconsistency: inverse-derivation and square-condition "
             "routes disagree for an invertible derivation")
-    return InvDerVerdict(deriv.holds, inv is not None, inverse_deriv, square,
-                         deriv, inverse, inv)
+    return InvDerVerdict(deriv.holds, inv is not None, inverse_deriv,
+                         square.holds, deriv, inverse, inv, square)
 
 
 def require_invder(delta: LinearMap, alg: Algebra, op_names=None,
@@ -318,7 +324,7 @@ def invder_search(alg: Algebra, op_names=None, *, coefficient_range: int = 3,
         candidate = space.combination(coeffs)
         if not candidate.is_invertible():
             continue
-        if not _square_condition(candidate, ops):
+        if not _square_condition(candidate, ops).holds:
             continue
         verdict = is_invder(candidate, alg, op_names)
         if verdict.accepted:

@@ -24,9 +24,12 @@ coefficients.  Coefficients are exact rational strings.
 The sparse kernels (mul_sparse, apply_sparse and the scans built on them)
 run on lean scalars: a value is held as an int when it is integral and as
 a Fraction otherwise, so products of integral tables never pay for
-Fraction arithmetic.  Every value that leaves the kernels (matrix and
-vector entries, structure constants, table entries, witnesses) is a
-Fraction again.
+Fraction arithmetic.  Each operation keeps one index of its basis
+products, keyed [i][j], and each map one tuple of its sparse columns; the
+kernels read them, and a scan reads a product of two basis vectors or the
+image of one straight from them, so those shared dicts must never be
+mutated.  Every value that leaves the kernels (matrix and vector entries,
+structure constants, table entries, witnesses) is a Fraction again.
 """
 
 from __future__ import annotations
@@ -51,6 +54,9 @@ FAMILIES = ("abelian", "heisenberg_like", "filiform", "solvable",
 
 Sparse = dict[int, Fraction]
 ConstantTable = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+# row i maps j to the nonzero coordinates of e_i e_j, as lean scalars;
+# pairs whose product is zero are absent
+ProductIndex = tuple[dict[int, Sparse], ...]
 # a sparse integer row: the positions of its nonzero coefficients, and them
 IntRow = tuple[tuple[int, ...], tuple[int, ...]]
 LeibnizRows = tuple[tuple[tuple[int, int], tuple[IntRow, ...]], ...]
@@ -97,14 +103,19 @@ class BilinearOp:
         return dict(self.constants)
 
     def entry(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((k, Q(c)) for k, c in self._index().get((i, j), ()))
+        return tuple((k, Q(c)) for k, c in self._index()[i].get(j, {}).items())
 
-    def _index(self) -> ConstantTable:
-        """The table keyed by pair, with lean coefficients."""
+    def _index(self) -> ProductIndex:
+        """The basis products keyed [i][j], with lean coefficients.
+
+        Shared by every kernel and scan of this operation: read it, never
+        mutate it.
+        """
         cached = getattr(self, "_idx", None)
         if cached is None:
-            cached = {key: tuple((k, lean(c)) for k, c in pairs)
-                      for key, pairs in self.constants}
+            cached = tuple({} for _ in range(self.dim))
+            for (i, j), pairs in self.constants:
+                cached[i][j] = {k: lean(c) for k, c in pairs}
             object.__setattr__(self, "_idx", cached)
         return cached
 
@@ -150,11 +161,14 @@ class BilinearOp:
         idx = self._index()
         out: Sparse = {}
         for i, xi in x.items():
+            row = idx[i]
+            if not row:
+                continue
             for j, yj in y.items():
-                pairs = idx.get((i, j))
+                pairs = row.get(j)
                 if pairs:
                     f = xi * yj
-                    for k, c in pairs:
+                    for k, c in pairs.items():
                         out[k] = out.get(k, 0) + f * c
         return {k: v for k, v in out.items() if v}
 
@@ -202,7 +216,7 @@ class BilinearOp:
             for j in range(self.dim):
                 img: Sparse = {}
                 for l, c in ri.items():
-                    for k, v in idx.get((l, j), ()):
+                    for k, v in idx[l].get(j, {}).items():
                         img[k] = img.get(k, ZERO) + c * v
                 if img:
                     out[(i, j)] = list(img.items())
@@ -219,7 +233,7 @@ class BilinearOp:
             for i in range(self.dim):
                 img: Sparse = {}
                 for l, c in rj.items():
-                    for k, v in idx.get((i, l), ()):
+                    for k, v in idx[i].get(l, {}).items():
                         img[k] = img.get(k, ZERO) + c * v
                 if img:
                     out[(i, j)] = list(img.items())
@@ -230,7 +244,7 @@ class BilinearOp:
             raise InputError("operation dimension mismatch")
 
 
-def _leibniz_rows(n: int, idx: ConstantTable) -> LeibnizRows:
+def _leibniz_rows(n: int, idx: ProductIndex) -> LeibnizRows:
     """The rows of BilinearOp.leibniz, from the nonzero constants alone.
 
     A constant v, the e_c coordinate of e_a e_b, enters 3n coefficients:
@@ -239,18 +253,19 @@ def _leibniz_rows(n: int, idx: ConstantTable) -> LeibnizRows:
     e_a (delta e_t).
     """
     rows: dict[tuple[int, int, int], dict[int, int | Fraction]] = {}
-    for (a, b), pairs in idx.items():
-        for c, v in pairs:
-            for t in range(n):
-                row = rows.setdefault((a, b, t), {})
-                e = t * n + c
-                row[e] = row.get(e, 0) + v
-                row = rows.setdefault((t, b, c), {})
-                e = a * n + t
-                row[e] = row.get(e, 0) - v
-                row = rows.setdefault((a, t, c), {})
-                e = b * n + t
-                row[e] = row.get(e, 0) - v
+    for a, products in enumerate(idx):
+        for b, pairs in products.items():
+            for c, v in pairs.items():
+                for t in range(n):
+                    row = rows.setdefault((a, b, t), {})
+                    e = t * n + c
+                    row[e] = row.get(e, 0) + v
+                    row = rows.setdefault((t, b, c), {})
+                    e = a * n + t
+                    row[e] = row.get(e, 0) - v
+                    row = rows.setdefault((a, t, c), {})
+                    e = b * n + t
+                    row[e] = row.get(e, 0) - v
     seen: set[IntRow] = set()
     grouped: dict[tuple[int, int], list[IntRow]] = {}
     for key in sorted(rows):

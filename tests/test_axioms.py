@@ -197,19 +197,43 @@ class TestTable:
 
         monkeypatch.setattr(BilinearOp, "mul_sparse", counted)
         assert check_associativity(entry("abelian_3").algebra).holds
-        # (x y) z and x (y z) once per triple; x y and y z once per pair
-        assert len(calls) == 2 * 27 + 2 * 9
+        # (x y) z and x (y z) once per triple; x y and y z are products of
+        # basis vectors, read off the index with no product computed
+        assert len(calls) == 2 * 27
+
+    def test_proper_map_subterms_are_memoised(self, monkeypatch):
+        calls = []
+        original = LinearMap.apply_sparse
+
+        def counted(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(LinearMap, "apply_sparse", counted)
+        e = entry("heisenberg3")
+        assert check_identity_25(e.algebra, None,
+                                 e.document.map("delta_w")).holds
+        # d(op(y, z)), d(op(z, x)) and d(op(x, y)) once per pair each; the
+        # images d(x), d(y), d(z) are columns, read with no product
+        assert len(calls) == 3 * 9
 
     def test_lie_bundle_scans_skew_symmetry_once(self, monkeypatch):
-        calls = []
-        original = BilinearOp.mul_sparse
+        import invder.axioms as axioms
+        calls, scanned = [], []
+        original, scan = BilinearOp.mul_sparse, axioms._scan
 
         def counted(self, x, y):
             calls.append(1)
             return original(self, x, y)
 
+        def counted_scan(row, *args, **kwargs):
+            scanned.append(row.id)
+            return scan(row, *args, **kwargs)
+
         monkeypatch.setattr(BilinearOp, "mul_sparse", counted)
+        monkeypatch.setattr(axioms, "_scan", counted_scan)
         kind_axioms(entry("abelian_3").algebra, "lie")
-        # skew symmetry: 2 per pair, scanned once; Jacobi: the one triple
-        # i < j < k, with its 3 inner and 3 outer products
-        assert len(calls) == 2 * 9 + 6
+        assert scanned == ["skew_symmetry", "jacobi"]
+        # skew symmetry reads basis products only; Jacobi: the one triple
+        # i < j < k, whose 3 inner products are read and 3 outer computed
+        assert len(calls) == 3

@@ -1,17 +1,19 @@
-"""The lean kernels, the elimination and the Leibniz operator against
-plain references.
+"""The lean kernels, the elimination, the Leibniz operator and the scan's
+lookups against plain references.
 
 The sparse kernels hold integral values as ints, rref updates only the
 nonzero cells of a pivot row, det and invert eliminate fraction-free on
-integer rows, and the Leibniz rule is decided by the sparse integer rows of
-BilinearOp.leibniz.  Each is compared here with a plain computation written
-out in this file (dense Fractions, the full scan of the leibniz row, the
-dense Leibniz system), on tables, maps and matrices with zero rows and
-columns and with non-integral entries, and every public value is checked to
-be a Fraction.
+integer rows, the Leibniz rule is decided by the sparse integer rows of
+BilinearOp.leibniz, and the scan reads products of basis vectors and their
+images off shared tables.  Each is compared here with a plain computation
+written out in this file (dense Fractions, the square rows by their
+definition with the matrix square of delta, the full scan of the leibniz
+row, the dense Leibniz system), on tables, maps and matrices with zero rows
+and columns and with non-integral entries, and every public value is
+checked to be a Fraction.
 """
 from fractions import Fraction as Q
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 import pytest
@@ -19,9 +21,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from invder import (FAMILIES, Algebra, BilinearOp, LinearMap, SearchConfig,
-                    catalog, derivation_space, entry, is_derivation, is_invder)
-from invder.axioms import (IDENTITIES, VARIABLES, _scan, identity_witness,
-                           leibniz_witness)
+                    catalog, check_squared_leibniz, derivation_space, entry,
+                    is_derivation, is_invder, run_axiom)
+from invder.axioms import (BUNDLES, IDENTITIES, VARIABLES, _scan,
+                           identity_witness, leibniz_witness)
 from invder.catalog import _family_algebras
 from invder.errors import SingularMatrixError
 from invder.linalg import Matrix, Vector
@@ -84,32 +87,41 @@ def ref_apply(m: LinearMap, x: list) -> list:
             for i in range(n)]
 
 
-def ref_eval(term, op, maps, units):
+def ref_eval(term, ops, maps, units):
+    """A term on dense Fraction vectors, under the named operations."""
     if term.head in VARIABLES:
         return units[term.head]
-    args = [ref_eval(a, op, maps, units) for a in term.args]
+    args = [ref_eval(a, ops, maps, units) for a in term.args]
     if term.head == "+":
-        out = [Q(0)] * op.dim
+        out = [Q(0)] * len(units["x"])
         for c, arg in zip(term.coeffs, args):
             out = [o + c * a for o, a in zip(out, arg)]
         return out
     if len(args) == 1:
         return ref_apply(maps[term.head], args[0])
-    return ref_mul(op, *args)
+    return ref_mul(ops[term.head], *args)
 
 
-def ref_witness(identity: str, op: BilinearOp, maps: dict):
-    """First basis tuple where the row fails, by dense Fraction evaluation."""
+def ref_witness(identity: str, ops: dict, maps: dict, alternating=False):
+    """First basis tuple where the row fails, by dense Fraction evaluation;
+    alternating walks the strictly increasing tuples only."""
     row = IDENTITIES[identity]
-    n = op.dim
-    for t in product(range(n), repeat=row.arity):
+    n = next(iter(ops.values())).dim
+    tuples = combinations(range(n), row.arity) if alternating \
+        else product(range(n), repeat=row.arity)
+    for t in tuples:
         units = {v: [Q(int(k == i)) for k in range(n)]
                  for v, i in zip(VARIABLES, t)}
-        lhs = ref_eval(row.lhs, op, maps, units)
-        rhs = ref_eval(row.rhs, op, maps, units)
+        lhs = ref_eval(row.lhs, ops, maps, units)
+        rhs = ref_eval(row.rhs, ops, maps, units)
         if lhs != rhs:
             return t, lhs, rhs
     return None
+
+
+def as_tuple(witness):
+    return None if witness is None else (
+        witness.indices, list(witness.lhs.entries), list(witness.rhs.entries))
 
 
 def dense(sparse: dict, n: int) -> list:
@@ -118,6 +130,17 @@ def dense(sparse: dict, n: int) -> list:
 
 def assert_fractions(values) -> None:
     assert all(type(c) is Q for c in values)
+
+
+def assert_caches_untouched(ops, maps) -> None:
+    """The scan reads the operations' product indices and the maps'
+    column caches in place; they must still equal freshly built ones."""
+    for op in ops:
+        assert op._index() == BilinearOp(op.dim, op.constants)._index()
+    for m in maps:
+        fresh = LinearMap(m.matrix)
+        assert [m.column_sparse(j) for j in range(m.dim)] \
+            == [fresh.column_sparse(j) for j in range(m.dim)]
 
 
 class TestLeanKernels:
@@ -149,19 +172,15 @@ class TestLeanKernels:
     @example("square_condition", z3_with_its_grading())
     def test_identity_witness_matches_plain_fractions(self, identity, pair):
         op, d = pair
-        maps = {"d": d, "d2": d.square(), "R": d, "P": d,
+        maps = {"d": d, "R": d, "P": d,
                 "lam": LinearMap.identity(op.dim).scale(Q(1, 2))}
         maps = {k: v for k, v in maps.items()
                 if k in IDENTITIES[identity].maps}
         got = identity_witness(identity, op, **maps)
-        want = ref_witness(identity, op, maps)
-        if want is None:
-            assert got is None
-        else:
-            assert got is not None
-            assert (got.indices, list(got.lhs.entries),
-                    list(got.rhs.entries)) == want
+        assert as_tuple(got) == ref_witness(identity, {"op": op}, maps)
+        if got is not None:
             assert_fractions(got.lhs.entries + got.rhs.entries)
+        assert_caches_untouched([op], maps.values())
 
     @settings(max_examples=200, deadline=None)
     @given(tables_and_maps())
@@ -424,3 +443,104 @@ class TestLeibnizOperator:
                     == dense_derivation_basis(ops, alg.dim), (alg.name, names)
                 for b in space.basis:
                     assert_fractions(b.matrix.entries)
+
+
+# ------------------------------------------------- the lookups of the scan
+
+
+def ref_square_sides(op: BilinearOp, d: LinearMap, identity: str, i, j):
+    """Both sides of a square row on (e_i, e_j), by its definition: dense
+    Fractions, with delta^2 the matrix square of delta."""
+    n = op.dim
+    d2 = d.square()
+    ei, ej = ([Q(int(k == m)) for k in range(n)] for m in (i, j))
+    cross = ref_mul(op, ref_apply(d, ei), ref_apply(d, ej))
+    image = ref_apply(d2, ref_mul(op, ei, ej))
+    if identity == "square_condition":
+        return cross, image
+    terms = (ref_mul(op, ref_apply(d2, ei), ej),
+             ref_mul(op, ei, ref_apply(d2, ej)), cross, cross)
+    return image, [sum(vs, Q(0)) for vs in zip(*terms)]
+
+
+@st.composite
+def structured_derivations(draw):
+    op = draw(st.sampled_from(STRUCTURED_OPS))
+    return op, draw(leibniz_candidates(op))
+
+
+@st.composite
+def sparse_tables_of(draw, n, skew=False):
+    """Tables with few nonzero pairs, so rows fail late or hold; skew
+    tables list i < j and negate the transposed pair."""
+    pairs = [(i, j) for i in range(n) for j in range(n)
+             if not skew or i < j]
+    table = {}
+    for i, j in pairs:
+        if draw(st.booleans()):
+            table[(i, j)] = {draw(st.integers(0, n - 1)): draw(nonzero_values)}
+            if skew:
+                table[(j, i)] = {k: -c for k, c in table[(i, j)].items()}
+    return BilinearOp.from_dict(n, table)
+
+
+class TestScanLookups:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(("square_condition", "squared_leibniz")),
+           st.one_of(tables_and_maps(), structured_derivations()))
+    @example("squared_leibniz", z3_with_its_grading())
+    @example("square_condition", z3_with_its_grading())
+    @example("square_condition", (entry("heisenberg3").algebra.op(),
+                                  entry("heisenberg3").document.map("delta_w")))
+    def test_square_rows_match_the_matrix_square(self, identity, pair):
+        op, d = pair
+        want = None
+        for t in product(range(op.dim), repeat=2):
+            lhs, rhs = ref_square_sides(op, d, identity, *t)
+            if lhs != rhs:
+                want = t, lhs, rhs
+                break
+        assert as_tuple(identity_witness(identity, op, d=d)) == want
+        alg = Algebra.build("t", [f"e{i}" for i in range(op.dim)], {"m": op})
+        if identity == "squared_leibniz":
+            report = check_squared_leibniz(alg, None, d)
+        else:
+            report = is_invder(d, alg).square
+        assert report.holds == (want is None)
+        assert as_tuple(report.witness) == want
+        assert_caches_untouched([op], [d])
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_dendriform_rows_match_plain_fractions(self, data):
+        n = data.draw(st.integers(1, 3))
+        left, right = (data.draw(st.one_of(tables_of(n), sparse_tables_of(n)))
+                       for _ in range(2))
+        d = data.draw(square_maps(n))
+        alg = Algebra.build("t", [f"e{i}" for i in range(n)],
+                            {"left": left, "right": right})
+        ops = {"left": left, "right": right}
+        for axiom in BUNDLES["dendriform"] + BUNDLES["invder-dendriform"]:
+            maps = {"d": d} if "d" in IDENTITIES[axiom].maps else {}
+            got = run_axiom(alg, axiom, None, maps.get("d")).witness
+            assert as_tuple(got) == ref_witness(axiom, ops, maps)
+        assert_caches_untouched([left, right], [d])
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.one_of(st.integers(1, 4).flatmap(
+        lambda n: sparse_tables_of(n, skew=True)),
+        st.sampled_from([entry(name).algebra.op()
+                         for name in ("so3", "heisenberg3", "filiform_n4")])))
+    def test_alternating_jacobi_matches_plain_fractions(self, op):
+        alg = Algebra.build("t", [f"e{i}" for i in range(op.dim)], {"m": op})
+        assert run_axiom(alg, "skew_symmetry").holds
+        got = run_axiom(alg, "jacobi").witness
+        want = ref_witness("jacobi", {"op": op}, {}, alternating=True)
+        assert as_tuple(got) == want
+        # on a skew table the first failing tuple of the full walk is
+        # increasing, so the alternating walk misses no failure
+        assert want == ref_witness("jacobi", {"op": op}, {})
+        assert_caches_untouched([op], [])

@@ -10,9 +10,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from invder import (Algebra, BilinearOp, LinearMap, check_squared_leibniz,
-                    endo_lie_from_assoc, entry, is_rota_baxter,
-                    leibniz_witness, run_axiom)
+from invder import (Algebra, BilinearOp, InvDerVerdict, LinearMap,
+                    check_squared_leibniz, endo_lie_from_assoc, entry,
+                    is_invder, is_rota_baxter, leibniz_witness, run_axiom)
 from invder.errors import NotMultiplicativeError
 
 
@@ -123,6 +123,23 @@ def test_squared_leibniz_witness():
         "axiom": "squared_leibniz", "holds": False,
         "witness": {"indices": [0, 1], "lhs": ["0", "0", "1"],
                     "rhs": ["0", "0", "0"]}}
+
+
+def test_square_condition_witness():
+    # [delta e1, delta e2] = e3, while delta^2 [e1, e2] = 4 e3
+    e = entry("heisenberg3")
+    verdict = is_invder(e.document.map("diag112"), e.algebra)
+    assert verdict.square.to_dict() == {
+        "axiom": "square_condition", "holds": False,
+        "witness": {"indices": [0, 1], "lhs": ["0", "0", "1"],
+                    "rhs": ["0", "0", "4"]}}
+    assert verdict.square_condition is False
+    # the report rides outside to_dict, repr and equality
+    assert list(verdict.to_dict()) == [
+        "is_derivation", "is_invertible", "inverse_is_derivation",
+        "square_condition", "accepted"]
+    assert "square=" not in repr(verdict)
+    assert verdict == InvDerVerdict(True, True, False, False)
 
 
 def test_rota_baxter_witness_weight_zero():
