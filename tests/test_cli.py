@@ -528,6 +528,21 @@ class TestSuiteAndSearch:
         assert data["findings"] == []
         assert data["family"] == "heisenberg_like"
 
+    def test_search_counterexample_bytes_with_findings(self, capsys):
+        # a hunt with findings (238 candidates, 13 of them break Jacobi):
+        # the text and the JSON bytes are pinned
+        argv = ("search-counterexample", "--family",
+                "random_nilpotent_tables", "--max-dim", "6",
+                "--samples", "10", "--seed", "7")
+        digests = []
+        for fmt in ((), ("--json",)):
+            code, out, _ = run(capsys, *argv, *fmt)
+            assert code == 1
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert digests == [
+            "e3fb38942b3daf151fff83d707b3f391178f46461f38406b7add076d3d101596",
+            "1d993842f77e204a1b9fffa45c7968bd830ab4587075fd4b8f62ec25eef5a7e1"]
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "search-counterexample", "--family",
                            "diagonal")
