@@ -172,9 +172,10 @@ def _table() -> dict[str, Identity]:
         Identity("dendriform_3", right(x, right(y, z)),
                  right(left(x, y) + right(x, y), z), "dendriform"),
         Identity("commutativity", op(x, y), op(y, x)),
+        # for a skew op the cyclic sum is alternating, as the Jacobiator is
         Identity("invder_jacobi",
                  op(d(x), op(y, z)) + op(d(y), op(z, x))
-                 + op(d(z), op(x, y)), zero, "invder-lie"),
+                 + op(d(z), op(x, y)), zero, "invder-lie", alternating=True),
         Identity("invder_prelie", op(d(x), op(y, z)) - op(op(x, y), d(z)),
                  op(d(y), op(x, z)) - op(op(y, x), d(z)), "invder-prelie"),
         Identity("invder_assoc", op(d(x), op(y, z)), op(op(x, y), d(z)),

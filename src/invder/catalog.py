@@ -15,8 +15,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .axioms import (check_dendriform, check_jacobi, identity_witness,
-                     invder_identity_axioms, kind_axioms, kinds_satisfied)
+from .axioms import (check_dendriform, check_invder_jacobi, check_jacobi,
+                     identity_witness, invder_identity_axioms, kind_axioms,
+                     kinds_satisfied)
 from .constructions import is_rota_baxter, twist_by, yau_from_twist
 from .derivations import derivation_space, invder_search, is_invder
 from .errors import InputError, InvderError
@@ -571,9 +572,18 @@ def counterexample_search(config: SearchConfig) -> SearchReport:
     derivation is itself a derivation; whether dropping that hypothesis can
     actually break Jacobi in small dimension is open.  For every family
     instance this samples the derivation space, keeps the invertible
-    elements whose inverse fails the Leibniz rule, force-twists by them,
-    and records any Jacobi or skew failure as a finding with its witness.
+    elements whose inverse fails the Leibniz rule, and records each Jacobi
+    or skew failure of the twist by one as a finding with its witness.
     An empty findings list is a bounds report, never a nonexistence proof.
+
+    No twist is built for most candidates.  For a derivation delta of a
+    Lie bracket, the Jacobiator of the twist delta[x, y] is delta applied
+    to the cyclic sum of [delta x, [y, z]], the invder_jacobi identity on
+    the source; so for an invertible delta the twist is Lie exactly when
+    delta satisfies invder_jacobi.  The twist keeps skew symmetry, which
+    the source is checked for first.  Only a candidate failing
+    invder_jacobi is twisted, for the witness on the twisted algebra, and
+    a twist of one that then reports no failure raises InvderError.
     """
     config.validate()
     algebras, rejected = _family_algebras(config)
@@ -600,13 +610,20 @@ def counterexample_search(config: SearchConfig) -> SearchReport:
                 continue
             checked += 1
             candidates += 1
+            if check_invder_jacobi(alg, None, delta).holds:
+                continue
             forced = twist_by(alg, delta, "lie", verdict)
-            for rep in forced.verification:
-                if rep.axiom in ("skew_symmetry", "jacobi") and not rep.holds:
-                    findings.append({
-                        "algebra": alg.name, "delta": delta.to_columns(),
-                        "check": rep.axiom,
-                        "witness": rep.witness.to_dict()})
+            broken = [rep for rep in forced.verification
+                      if rep.axiom in ("skew_symmetry", "jacobi")
+                      and not rep.holds]
+            if not broken:
+                raise InvderError(
+                    "internal inconsistency: a derivation failing "
+                    "invder_jacobi twists into a Lie bracket")
+            for rep in broken:
+                findings.append({
+                    "algebra": alg.name, "delta": delta.to_columns(),
+                    "check": rep.axiom, "witness": rep.witness.to_dict()})
         rows.append({"algebra": alg.name, "dim": alg.dim,
                      "derivation_dim": space.dim,
                      "twisted_candidates": checked})

@@ -83,19 +83,29 @@ class DerivationSpace:
         return len(self.basis)
 
     def combination(self, coeffs) -> LinearMap:
-        """The map sum of c_t basis_t, accumulated in one pass."""
-        coeffs = [Q(c) for c in coeffs]
+        """The map sum of c_t basis_t, accumulated in one pass over the
+        nonzero entries of the basis maps."""
+        coeffs = [c if type(c) is int else lean(Q(c)) for c in coeffs]
         if len(coeffs) != self.dim:
             raise InputError("coefficient count does not match space dimension")
         n = self.algebra.dim
         total = [0] * (n * n)  # lean scalars, as in the sparse kernels
-        for c, b in zip(coeffs, self.basis):
+        for c, cells in zip(coeffs, self._cells()):
             if c:
-                c = lean(c)
-                for j in range(n):
-                    for i, v in b.column_sparse(j).items():
-                        total[i * n + j] += c * v
-        return LinearMap(Matrix(n, n, tuple(Q(v) for v in total)))
+                for e, v in cells:
+                    total[e] += c * v
+        return LinearMap.from_kernel(n, total)
+
+    def _cells(self) -> tuple[tuple[tuple[int, int | Q], ...], ...]:
+        """Each basis map's nonzero lean entries with their row-by-row
+        positions, collected once per space."""
+        cached = getattr(self, "_basis_cells", None)
+        if cached is None:
+            cached = tuple(tuple((e, v) for e, v in
+                                 enumerate(b.lean_entries()) if v)
+                           for b in self.basis)
+            object.__setattr__(self, "_basis_cells", cached)
+        return cached
 
     def coordinates_of(self, candidate: LinearMap) -> Vector | None:
         """Coordinates of a map in this basis, or None when outside the span."""

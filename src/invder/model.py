@@ -352,10 +352,7 @@ class LinearMap:
         """Nonzero entries of column j, as lean scalars."""
         cols = getattr(self, "_cols", None)
         if cols is None:
-            cols = tuple(
-                {i: lean(self.matrix.entry(i, j)) for i in range(self.dim)
-                 if self.matrix.entry(i, j)}
-                for j in range(self.dim))
+            cols = _lean_columns(self.dim, self.lean_entries())
             object.__setattr__(self, "_cols", cols)
         return cols[j]
 
@@ -367,6 +364,17 @@ class LinearMap:
             flat = tuple(lean(v) for v in self.matrix.entries)
             object.__setattr__(self, "_flat", flat)
         return flat
+
+    @staticmethod
+    def from_kernel(n: int, values) -> "LinearMap":
+        """The map with these entries, row by row, as a sparse kernel sums
+        them (ints and Fractions); its lean_entries and column_sparse
+        caches start filled."""
+        flat = tuple(map(lean, values))
+        m = LinearMap(Matrix(n, n, tuple(map(Q, flat))))
+        object.__setattr__(m, "_flat", flat)
+        object.__setattr__(m, "_cols", _lean_columns(n, flat))
+        return m
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -407,6 +415,12 @@ class LinearMap:
             raise InputError("map must be a square array of columns")
         return LinearMap.from_columns([[parse_rational(v) for v in col]
                                        for col in cols])
+
+
+def _lean_columns(n: int, flat: tuple) -> tuple[Sparse, ...]:
+    """The nonzero entries of each column of a row-by-row n x n matrix."""
+    return tuple({i: v for i in range(n) if (v := flat[i * n + j])}
+                 for j in range(n))
 
 
 def sparse_to_vector(dim: int, s: Sparse) -> Vector:

@@ -2,17 +2,26 @@
 import importlib
 import random
 
-import pytest
+from fractions import Fraction as Q
 
-from invder import (FAMILIES, LinearMap, SearchConfig, catalog,
-                    counterexample_search, derivation_space, entry, is_invder,
-                    kinds_satisfied, max_dimension, run_axiom,
-                    run_property_suite, twist, verify_entry)
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from invder import (FAMILIES, Algebra, LinearMap, SearchConfig, catalog,
+                    check_invder_jacobi, check_jacobi, counterexample_search,
+                    derivation_space, entry, is_invder, kinds_satisfied,
+                    max_dimension, run_axiom, run_property_suite, twist,
+                    verify_entry)
 from invder import derivations
+from invder.axioms import CheckReport
+from invder.catalog import _family_algebras
 from invder.derivations import DerivationSpace
 from invder.linalg import Matrix
 from invder.model import BilinearOp
 from invder.errors import InputError, InvderError
+
+catalog_module = importlib.import_module("invder.catalog")
 
 
 class TestEntries:
@@ -129,6 +138,12 @@ class TestSearchConfig:
             max_dimension()
 
 
+# a hunt with findings: 238 candidates, 13 of whose twists break Jacobi
+SMALL_HUNT = SearchConfig("random_nilpotent_tables", max_dim=6,
+                          max_samples=10, seed=7)
+HUNT_TABLES_6 = [a for a in _family_algebras(SMALL_HUNT)[0] if a.dim == 6]
+
+
 class TestCounterexampleSearch:
     def test_structured_families_produce_no_findings(self):
         for family in ("heisenberg_like", "abelian", "filiform", "solvable"):
@@ -166,17 +181,16 @@ class TestCounterexampleSearch:
         assert "tables_per_dim" in data["bounds"]
         assert data["algebras_examined"] == len(data["rows"])
 
-    def test_findings_always_reverify(self):
-        # Any reported break must reproduce: the map is an invertible
+    def test_findings_always_reverify(self, reverify_findings):
+        # Every reported break must reproduce: the map is an invertible
         # derivation whose inverse is not one, and the forced twist
         # fails the recorded axiom at the recorded witness.
-        cfg = SearchConfig("random_nilpotent_tables", max_dim=4,
-                           max_samples=60, seed=11, tables_per_dim=4)
-        report = counterexample_search(cfg)
+        report = counterexample_search(SMALL_HUNT)
+        assert report.candidates_found == 238
+        assert len(report.findings) == 13
         rows = {r["algebra"]: r for r in report.rows}
-        for f in report.findings:
-            assert f["algebra"] in rows
-            assert f["check"] in ("skew_symmetry", "jacobi")
+        assert {f["algebra"] for f in report.findings} <= set(rows)
+        reverify_findings(SMALL_HUNT, report)
 
     def test_rows_describe_every_algebra(self):
         report = counterexample_search(
@@ -185,6 +199,116 @@ class TestCounterexampleSearch:
             assert set(row) == {"algebra", "dim", "derivation_dim",
                                 "twisted_candidates"}
             assert 3 <= row["dim"] <= 4
+
+
+def twist_is_lie(alg, delta) -> bool:
+    """The forced twist's own skew symmetry and Jacobi reports."""
+    return all(r.holds for r in twist(alg, delta, "lie", force=True).verification
+               if r.axiom in ("skew_symmetry", "jacobi"))
+
+
+@st.composite
+def sparse_lie_tables(draw):
+    """A sparse skew table that satisfies Jacobi.  Products land on later
+    basis vectors (nilpotent, as the hunt's tables) or anywhere."""
+    n = draw(st.integers(2, 5))
+    anywhere = draw(st.booleans()) and n <= 3
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            targets = range(n) if anywhere else range(j + 1, n)
+            if targets and draw(st.booleans()):
+                entry_ = {draw(st.sampled_from(targets)):
+                          draw(st.sampled_from(COEFFICIENTS))}
+                table[(i, j)] = entry_
+                table[(j, i)] = {k: -c for k, c in entry_.items()}
+    alg = Algebra.build("t", [f"e{t}" for t in range(n)],
+                        {"bracket": BilinearOp.from_dict(n, table)}, "lie")
+    assume(check_jacobi(alg).holds)
+    return alg
+
+
+@st.composite
+def lie_tables_and_invertible_derivations(draw):
+    """A Lie table, sparse or one of the hunt's dim-6 tables (two of which
+    have twists that break Jacobi), and an invertible derivation of it."""
+    alg = draw(st.one_of(sparse_lie_tables(),
+                         st.sampled_from(HUNT_TABLES_6)))
+    space = derivation_space(alg)
+    delta = space.combination(
+        draw(st.lists(st.sampled_from(COEFFICIENTS), min_size=space.dim,
+                      max_size=space.dim)))
+    assume(delta.is_invertible())
+    return alg, delta
+
+
+COEFFICIENTS = [Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(1, 2)]
+
+
+class TestTwistLemma:
+    """For an invertible derivation delta of a Lie bracket, the twist
+    delta[x, y] is Lie exactly when delta satisfies invder_jacobi on the
+    source, the lemma the hunt decides its candidates by."""
+
+    def test_every_invertible_draw_of_a_hunt(self):
+        cfg = SMALL_HUNT
+        candidates, broken = 0, []
+        for alg in _family_algebras(cfg)[0]:
+            space = derivation_space(alg)
+            # the hunt's own draws, in its order
+            rng = random.Random(f"{cfg.seed}:{alg.name}")
+            for _ in range(cfg.max_samples):
+                coeffs = [rng.randint(-cfg.coefficient_range,
+                                      cfg.coefficient_range)
+                          for _ in range(space.dim)]
+                if not any(coeffs):
+                    continue
+                delta = space.combination(coeffs)
+                verdict = is_invder(delta, alg)
+                if not verdict.is_invertible:
+                    continue
+                holds = check_invder_jacobi(alg, None, delta).holds
+                assert holds == twist_is_lie(alg, delta), alg.name
+                if not verdict.inverse_is_derivation:
+                    candidates += 1
+                    if not holds:
+                        broken.append((alg.name, delta.to_columns()))
+        report = counterexample_search(cfg)
+        assert candidates == report.candidates_found == 238
+        assert broken == [(f["algebra"], f["delta"])
+                          for f in report.findings]
+        assert len(broken) == 13
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(lie_tables_and_invertible_derivations())
+    def test_skew_tables(self, pair):
+        alg, delta = pair
+        assert check_invder_jacobi(alg, None, delta).holds \
+            == twist_is_lie(alg, delta)
+
+    def test_hunt_twists_only_its_findings(self, monkeypatch):
+        calls = []
+        original = catalog_module.twist_by
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(catalog_module, "twist_by", counted)
+        report = counterexample_search(SMALL_HUNT)
+        assert calls == [f["algebra"] for f in report.findings]
+        assert len(calls) == 13
+
+    def test_a_twist_that_stays_lie_is_refused(self, monkeypatch):
+        # a candidate failing invder_jacobi whose twist reports no failure
+        # contradicts the lemma: the hunt stops instead of skipping it
+        monkeypatch.setattr(catalog_module, "check_invder_jacobi",
+                            lambda alg, op_name, delta: CheckReport(
+                                "invder_jacobi", False))
+        with pytest.raises(InvderError, match="internal inconsistency"):
+            counterexample_search(SearchConfig(
+                "heisenberg_like", max_dim=4, max_samples=20))
 
 
 class TestOneVerdictPerMap:

@@ -4,13 +4,14 @@ lookups against plain references.
 The sparse kernels hold integral values as ints, rref updates only the
 nonzero cells of a pivot row, det and invert eliminate fraction-free on
 integer rows, the Leibniz rule is decided by the sparse integer rows of
-BilinearOp.leibniz, and the scan reads products of basis vectors and their
-images off shared tables.  Each is compared here with a plain computation
-written out in this file (dense Fractions, the square rows by their
-definition with the matrix square of delta, the full scan of the leibniz
-row, the dense Leibniz system), on tables, maps and matrices with zero rows
-and columns and with non-integral entries, and every public value is
-checked to be a Fraction.
+BilinearOp.leibniz, the scan reads products of basis vectors and their
+images off shared tables, and it walks only increasing tuples for the
+alternating rows.  Each is compared here with a plain computation written
+out in this file (dense Fractions, the square rows by their definition with
+the matrix square of delta, the full scan of the leibniz row, the dense
+Leibniz system, the walk over every tuple), on tables, maps and matrices
+with zero rows and columns and with non-integral entries, and every public
+value is checked to be a Fraction.
 """
 from fractions import Fraction as Q
 from itertools import combinations, product
@@ -164,6 +165,27 @@ class TestLeanKernels:
         out = m.apply_sparse(x)
         assert all(type(v) in (int, Q) and v for v in out.values())
         assert dense(out, n) == ref_apply(m, dense(x, n))
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_combination_matches_plain_fractions(self, data):
+        op = data.draw(st.sampled_from(STRUCTURED_OPS))
+        n = op.dim
+        space = derivation_space(Algebra.build(
+            "t", [f"e{i}" for i in range(n)], {"m": op}))
+        coeffs = [data.draw(values) for _ in range(space.dim)]
+        mix = space.combination(coeffs)
+        assert list(mix.matrix.entries) == [
+            sum((c * b.matrix.entries[e] for c, b in zip(coeffs, space.basis)),
+                Q(0)) for e in range(n * n)]
+        assert_fractions(mix.matrix.entries)
+        # the lean caches it starts with are the ones the map would build
+        fresh = LinearMap(mix.matrix)
+        assert [(type(v), v) for v in mix.lean_entries()] \
+            == [(type(v), v) for v in fresh.lean_entries()]
+        assert [mix.column_sparse(j) for j in range(n)] \
+            == [fresh.column_sparse(j) for j in range(n)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(SINGLE_OP_ROWS), tables_and_maps())
@@ -366,6 +388,10 @@ STRUCTURED_OPS = [e.algebra.op() for e in catalog()
         SearchConfig(family, max_dim=4, tables_per_dim=2))[0]]
 
 
+SKEW_OPS = [op for op in STRUCTURED_OPS
+            if identity_witness("skew_symmetry", op) is None]
+
+
 def integral_multiple(m: LinearMap) -> tuple:
     scale = lcm(*(v.denominator for v in m.matrix.entries))
     return tuple(int(v * scale) for v in m.matrix.entries)
@@ -544,3 +570,21 @@ class TestScanLookups:
         # increasing, so the alternating walk misses no failure
         assert want == ref_witness("jacobi", {"op": op}, {})
         assert_caches_untouched([op], [])
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_alternating_invder_jacobi_matches_the_full_walk(self, data):
+        op = data.draw(st.one_of(
+            st.integers(1, 4).flatmap(lambda n: sparse_tables_of(n, skew=True)),
+            st.sampled_from(SKEW_OPS)))
+        # arbitrary maps, derivations, and derivations with one entry changed
+        delta = data.draw(leibniz_candidates(op))
+        alg = Algebra.build("t", [f"e{i}" for i in range(op.dim)], {"m": op})
+        assert run_axiom(alg, "skew_symmetry").holds
+        got = run_axiom(alg, "invder_jacobi", None, delta).witness
+        want = _scan(IDENTITIES["invder_jacobi"], op.dim, {"op": op},
+                     {"d": delta})
+        assert got == want
+        assert as_dict(got) == as_dict(want)
+        assert_caches_untouched([op], [delta])
