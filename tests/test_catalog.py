@@ -1,7 +1,6 @@
 """Built-in catalog, randomized property suite, counterexample search."""
 import importlib
 import random
-
 from fractions import Fraction as Q
 
 import pytest
@@ -21,6 +20,7 @@ from invder.linalg import Matrix
 from invder.model import BilinearOp
 from invder.errors import InputError, InvderError
 
+# the module; the package exports its function catalog under that name
 catalog_module = importlib.import_module("invder.catalog")
 
 
@@ -207,6 +207,9 @@ def twist_is_lie(alg, delta) -> bool:
                if r.axiom in ("skew_symmetry", "jacobi"))
 
 
+COEFFICIENTS = [Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(1, 2)]
+
+
 @st.composite
 def sparse_lie_tables(draw):
     """A sparse skew table that satisfies Jacobi.  Products land on later
@@ -240,9 +243,6 @@ def lie_tables_and_invertible_derivations(draw):
                       max_size=space.dim)))
     assume(delta.is_invertible())
     return alg, delta
-
-
-COEFFICIENTS = [Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(1, 2)]
 
 
 class TestTwistLemma:
