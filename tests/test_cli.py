@@ -447,6 +447,43 @@ class TestVerifyTheorem:
                          path(algebra_dir, "a3"), "--operator", "identity")
         assert code == 0
 
+    @pytest.mark.parametrize("name,passage,entry_id,options", [
+        ("prop-3.5", "commutator-lie", "a3", ()),
+        ("prop-3.5", "commutator-lie", "heisenberg3", ("--map", "delta_w")),
+        ("prop-3.6", "endo-lie-from-assoc", "a3",
+         ("--operator", "identity", "--map", "delta_A")),
+        ("thm-3-rbo", "rb-prelie-from-assoc", "a3", ("--operator", "proj_z")),
+        ("thm-4-zinbiel-lie", "zinbiel-to-lie", "z3", ()),
+        ("thm-4-zinbiel-lie", "zinbiel-to-lie", "a3_zinbiel",
+         ("--map", "delta_A")),
+        ("thm-4-zinbiel-lie", "zinbiel-to-lie", "a3", ("--force",)),
+    ])
+    def test_passage_statements_build_what_transform_builds(
+            self, capsys, algebra_dir, name, passage, entry_id, options):
+        file = path(algebra_dir, entry_id)
+        code, out, _ = run(capsys, "verify-theorem", name, file, *options,
+                           "--json")
+        built_code, built, _ = run(capsys, "transform", passage, file,
+                                   *options, "--json")
+        assert code == built_code == 0
+        assert json.loads(out)["construction"] == json.loads(built)
+
+    @pytest.mark.parametrize("argv,entry_id,line", [
+        (("transform", "rb-prelie-from-lie"), "heisenberg3",
+         "error: rb-prelie-from-lie needs --operator naming a stored map "
+         "(ad_e1, delta_w, diag112, proj_center, zero)\n"),
+        (("verify-theorem", "prop-3.6"), "a3",
+         "error: the endomorphism bracket needs --operator naming a stored "
+         "map (delta_A, identity, proj_x, proj_z)\n"),
+        (("verify-theorem", "thm-3-rbo"), "a3",
+         "error: the pre-Lie passage needs --operator naming a stored map "
+         "(delta_A, identity, proj_x, proj_z)\n"),
+    ])
+    def test_missing_operator_message(self, capsys, algebra_dir, argv,
+                                      entry_id, line):
+        code, out, err = run(capsys, *argv, path(algebra_dir, entry_id))
+        assert (code, out, err) == (2, "", line)
+
     def test_refuted_statement_exits_one(self, capsys, algebra_dir):
         code, out, _ = run(capsys, "verify-theorem", "prop-2.2",
                            path(algebra_dir, "so3"), "--map", "ad_e1")
