@@ -391,12 +391,8 @@ def run_property_suite(seed: int = 0, samples: int = 100) -> SuiteReport:
             candidates.extend((f"family[{i}]", e.invder_family(rng))
                               for i in range(samples))
         space = derivation_space(alg)
-        for i in range(max(1, samples // 2)):
-            if space.dim == 0:
-                break
-            coeffs = [rng.randint(-3, 3) for _ in range(space.dim)]
-            if any(coeffs):
-                candidates.append((f"der[{i}]", space.combination(coeffs)))
+        candidates.extend((f"der[{i}]", m) for i, m in
+                          space.draws(rng, 3, max(1, samples // 2)))
 
         for label, m in candidates:
             try:
@@ -596,15 +592,8 @@ def counterexample_search(config: SearchConfig) -> SearchReport:
         space = derivation_space(alg)
         rng = random.Random(f"{config.seed}:{alg.name}")
         checked = 0
-        for _ in range(config.max_samples):
-            if space.dim == 0:
-                break
-            coeffs = [rng.randint(-config.coefficient_range,
-                                  config.coefficient_range)
-                      for _ in range(space.dim)]
-            if not any(coeffs):
-                continue
-            delta = space.combination(coeffs)
+        for _, delta in space.draws(rng, config.coefficient_range,
+                                    config.max_samples):
             verdict = is_invder(delta, alg)
             if not verdict.is_invertible or verdict.inverse_is_derivation:
                 continue

@@ -107,19 +107,15 @@ def _optional_map(doc: AlgebraDocument, args) -> LinearMap | None:
     return None if args.map is None else doc.map(args.map)
 
 
-def _required_map(doc: AlgebraDocument, args, why: str) -> LinearMap:
-    if not args.map:
-        stored = ", ".join(doc.map_names()) or "none stored"
-        raise InputError(f"{why} needs --map naming a stored map ({stored})")
-    return doc.map(args.map)
-
-
-def _required_operator(doc: AlgebraDocument, args, why: str) -> LinearMap:
-    if not args.operator:
+def _required_map(doc: AlgebraDocument, args, why: str,
+                  option: str = "map") -> LinearMap:
+    """The stored map named by --map, or by the option given."""
+    name = getattr(args, option)
+    if not name:
         stored = ", ".join(doc.map_names()) or "none stored"
         raise InputError(
-            f"{why} needs --operator naming a stored map ({stored})")
-    return doc.map(args.operator)
+            f"{why} needs --{option} naming a stored map ({stored})")
+    return doc.map(name)
 
 
 def _weight(args):
@@ -286,37 +282,42 @@ def cmd_twist(args) -> int:
     return _construction_output(res, args, head)
 
 
-def cmd_transform(args) -> int:
+def _passage(name: str, doc: AlgebraDocument, args,
+             why: str) -> ConstructionResult:
+    """Build one of the TRANSFORMS passages; why names it when --operator
+    is missing."""
     from .constructions import (RotaBaxterOp, commutator_lie,
                                 dendriform_to_assoc, dendriform_to_prelie,
                                 dendriform_to_zinbiel, endo_lie_from_assoc,
                                 rb_prelie_from_assoc, rb_prelie_from_lie,
                                 zinbiel_to_assoc, zinbiel_to_lie)
 
-    doc = _load(args)
     alg = doc.algebra
     delta = _optional_map(doc, args)
-    name = args.name
     if name == "commutator-lie":
-        res = commutator_lie(alg, args.op, delta)
-    elif name in ("rb-prelie-from-lie", "rb-prelie-from-assoc"):
-        rbo = RotaBaxterOp(_required_operator(doc, args, name), _weight(args))
+        return commutator_lie(alg, args.op, delta)
+    if name in ("rb-prelie-from-lie", "rb-prelie-from-assoc"):
+        rbo = RotaBaxterOp(_required_map(doc, args, why, "operator"),
+                           _weight(args))
         fn = rb_prelie_from_lie if name == "rb-prelie-from-lie" \
             else rb_prelie_from_assoc
-        res = fn(alg, rbo, args.op, delta)
-    elif name == "endo-lie-from-assoc":
-        res = endo_lie_from_assoc(alg, _required_operator(doc, args, name),
-                                  args.op, delta)
-    elif name == "zinbiel-to-assoc":
-        res = zinbiel_to_assoc(alg, args.op, delta, args.force)
-    elif name == "zinbiel-to-lie":
-        res = zinbiel_to_lie(alg, args.op, delta, args.force)
-    elif name == "dendriform-to-zinbiel":
-        res = dendriform_to_zinbiel(alg, delta, args.force)
-    elif name == "dendriform-to-assoc":
-        res = dendriform_to_assoc(alg, delta, args.force)
-    else:
-        res = dendriform_to_prelie(alg, delta, args.force)
+        return fn(alg, rbo, args.op, delta)
+    if name == "endo-lie-from-assoc":
+        return endo_lie_from_assoc(
+            alg, _required_map(doc, args, why, "operator"), args.op, delta)
+    if name == "zinbiel-to-assoc":
+        return zinbiel_to_assoc(alg, args.op, delta, args.force)
+    if name == "zinbiel-to-lie":
+        return zinbiel_to_lie(alg, args.op, delta, args.force)
+    if name == "dendriform-to-zinbiel":
+        return dendriform_to_zinbiel(alg, delta, args.force)
+    if name == "dendriform-to-assoc":
+        return dendriform_to_assoc(alg, delta, args.force)
+    return dendriform_to_prelie(alg, delta, args.force)
+
+
+def cmd_transform(args) -> int:
+    res = _passage(args.name, _load(args), args, args.name)
     head = f"built {res.algebra.name} (kind {res.algebra.kind_hint})"
     return _construction_output(res, args, head)
 
@@ -389,39 +390,12 @@ def _theorem_yau(kind: str | None):
     return run
 
 
-def _theorem_commutator(doc: AlgebraDocument, args):
-    from .constructions import commutator_lie
-
-    delta = _optional_map(doc, args)
-    res = commutator_lie(doc.algebra, args.op, delta)
-    return res.ok, {"construction": res.to_dict()}, res.verification
-
-
-def _theorem_endo(doc: AlgebraDocument, args):
-    from .constructions import endo_lie_from_assoc
-
-    delta = _optional_map(doc, args)
-    operator = _required_operator(doc, args, "the endomorphism bracket")
-    res = endo_lie_from_assoc(doc.algebra, operator, args.op, delta)
-    return res.ok, {"construction": res.to_dict()}, res.verification
-
-
-def _theorem_rbo(doc: AlgebraDocument, args):
-    from .constructions import RotaBaxterOp, rb_prelie_from_assoc
-
-    delta = _optional_map(doc, args)
-    rbo = RotaBaxterOp(_required_operator(doc, args, "the pre-Lie passage"),
-                       _weight(args))
-    res = rb_prelie_from_assoc(doc.algebra, rbo, args.op, delta)
-    return res.ok, {"construction": res.to_dict()}, res.verification
-
-
-def _theorem_zinbiel_lie(doc: AlgebraDocument, args):
-    from .constructions import zinbiel_to_lie
-
-    delta = _optional_map(doc, args)
-    res = zinbiel_to_lie(doc.algebra, args.op, delta, args.force)
-    return res.ok, {"construction": res.to_dict()}, res.verification
+def _theorem_passage(name: str, why: str | None = None):
+    """A statement checked by building the passage transform builds."""
+    def run(doc: AlgebraDocument, args):
+        res = _passage(name, doc, args, why or name)
+        return res.ok, {"construction": res.to_dict()}, res.verification
+    return run
 
 
 THEOREMS = {
@@ -432,13 +406,15 @@ THEOREMS = {
     "prop-2.3": _theorem_axioms("invder_prelie"),
     "thm-3.4": _theorem_twist("associative"),
     "prop-3.4": _theorem_axioms("invder_assoc"),
-    "prop-3.5": _theorem_commutator,
-    "prop-3.6": _theorem_endo,
-    "thm-3-rbo": _theorem_rbo,
+    "prop-3.5": _theorem_passage("commutator-lie"),
+    "prop-3.6": _theorem_passage("endo-lie-from-assoc",
+                                 "the endomorphism bracket"),
+    "thm-3-rbo": _theorem_passage("rb-prelie-from-assoc",
+                                  "the pre-Lie passage"),
     "thm-4.2": _theorem_twist("zinbiel"),
     "prop-4.3": _theorem_axioms("invder_zinbiel"),
     "prop-4.4-4.5": _theorem_axioms("zinbiel_aux_44", "zinbiel_aux_45"),
-    "thm-4-zinbiel-lie": _theorem_zinbiel_lie,
+    "thm-4-zinbiel-lie": _theorem_passage("zinbiel-to-lie"),
     "thm-4-dendriform": _theorem_twist("dendriform"),
     "thm-yau": _theorem_yau("associative"),
     "cor-yau": _theorem_yau(None),

@@ -360,7 +360,7 @@ def rb_prelie_from_assoc(alg: Algebra, rbo: LinearMap | RotaBaxterOp,
         _require_source([run_axiom(alg, "invder_assoc", name, delta)],
                         "InvDer associative", force=False)
     mu = alg.op(name)
-    star = mu.compose_left(r) - mu.compose_right(r).opposite()
+    star = mu.compose_left(r) - mu.opposite().compose_left(r)
     out = alg.with_ops(f"{alg.name}.rb_prelie", {"star": star}, "prelie")
     return _result(out, "prelie", [check_pre_lie(out)], delta, verdict,
                    ("weight 0 Rota-Baxter product",))

@@ -96,6 +96,22 @@ class DerivationSpace:
                     total[e] += c * v
         return LinearMap.from_kernel(n, total)
 
+    def draws(self, rng: random.Random, coefficient_range: int, count: int):
+        """The nonzero maps among count draws from the space, as (i, map)
+        with i the index of the draw.
+
+        Each draw takes one integer coefficient per basis map, uniform in
+        [-coefficient_range, coefficient_range]; a zero-dimensional space
+        draws nothing and leaves rng untouched.
+        """
+        if not self.dim:
+            return
+        for i in range(count):
+            coeffs = [rng.randint(-coefficient_range, coefficient_range)
+                      for _ in range(self.dim)]
+            if any(coeffs):
+                yield i, self.combination(coeffs)
+
     def _cells(self) -> tuple[tuple[tuple[int, int | Q], ...], ...]:
         """Each basis map's nonzero lean entries with their row-by-row
         positions, collected once per space."""
@@ -141,20 +157,15 @@ def derivation_space(alg: Algebra, op_names=None) -> DerivationSpace:
     selected = _selected_ops(alg, op_names)
     rows = dict.fromkeys(row for _, op in selected
                          for _, group in op.leibniz() for row in group)
-    if not rows:
-        # every map is a derivation (all products vanish)
-        basis = tuple(LinearMap(Matrix(n, n, tuple(
-            Q(1) if e == idx else ZERO for e in range(n * n))))
-            for idx in range(n * n))
-    else:
-        cells = []
-        for positions, coeffs in rows:
-            dense = [ZERO] * (n * n)
-            for e, c in zip(positions, coeffs):
-                dense[e] = Q(c)
-            cells.extend(dense)
-        kernel = Matrix(len(rows), n * n, tuple(cells)).kernel_basis()
-        basis = tuple(LinearMap(Matrix(n, n, v.entries)) for v in kernel)
+    cells = []
+    for positions, coeffs in rows:
+        dense = [ZERO] * (n * n)
+        for e, c in zip(positions, coeffs):
+            dense[e] = Q(c)
+        cells.extend(dense)
+    # with no rows (all products vanish) the kernel is every unit map
+    kernel = Matrix(len(rows), n * n, tuple(cells)).kernel_basis()
+    basis = tuple(LinearMap(Matrix(n, n, v.entries)) for v in kernel)
     return DerivationSpace(alg, tuple(name for name, _ in selected), basis)
 
 
@@ -322,16 +333,11 @@ def invder_search(alg: Algebra, op_names=None, *, coefficient_range: int = 3,
     space = derivation_space(alg, op_names)
     if space.dim == 0 or generic_determinant(space).is_zero():
         return InvDerSearchResult(None, VANISHING_DET, 0, space.dim)
-    rng = random.Random(seed)
     ops = _selected_ops(alg, op_names)
     tried = 0
-    for _ in range(max_samples):
-        coeffs = [Q(rng.randint(-coefficient_range, coefficient_range))
-                  for _ in range(space.dim)]
-        if not any(coeffs):
-            continue
+    for _, candidate in space.draws(random.Random(seed), coefficient_range,
+                                    max_samples):
         tried += 1
-        candidate = space.combination(coeffs)
         if not candidate.is_invertible():
             continue
         if not _square_condition(candidate, ops).holds:

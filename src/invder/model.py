@@ -138,6 +138,19 @@ class BilinearOp:
             object.__setattr__(self, "_leibniz", cached)
         return cached
 
+    def is_skew(self) -> bool:
+        """Whether e_j e_i = -(e_i e_j) on every basis pair, as the
+        skew_symmetry row decides it; read off the index once per instance.
+        """
+        cached = getattr(self, "_skew", None)
+        if cached is None:
+            idx = self._index()
+            cached = all(idx[j].get(i) == {k: -v for k, v in pairs.items()}
+                         for i, row in enumerate(idx)
+                         for j, pairs in row.items())
+            object.__setattr__(self, "_skew", cached)
+        return cached
+
     def is_zero(self) -> bool:
         return not self.constants
 
@@ -196,14 +209,8 @@ class BilinearOp:
         """Post-compose with delta: the new product of x and y is delta(x y)."""
         if delta.dim != self.dim:
             raise InputError("map dimension does not match operation dimension")
-        out: dict[tuple[int, int], list] = {}
-        for (i, j), pairs in self.constants:
-            img: Sparse = {}
-            for l, c in pairs:
-                for k, m in delta.column_sparse(l).items():
-                    img[k] = img.get(k, ZERO) + c * m
-            out[(i, j)] = list(img.items())
-        return BilinearOp.from_dict(self.dim, out)
+        return BilinearOp.from_dict(self.dim, {
+            key: delta.apply_sparse(dict(pairs)) for key, pairs in self.constants})
 
     def compose_left(self, r: "LinearMap") -> "BilinearOp":
         """New product of x and y is (R x) y."""
@@ -223,21 +230,8 @@ class BilinearOp:
         return BilinearOp.from_dict(self.dim, out)
 
     def compose_right(self, r: "LinearMap") -> "BilinearOp":
-        """New product of x and y is x (R y)."""
-        if r.dim != self.dim:
-            raise InputError("map dimension does not match operation dimension")
-        idx = self._index()
-        out: dict[tuple[int, int], list] = {}
-        for j in range(self.dim):
-            rj = r.column_sparse(j)
-            for i in range(self.dim):
-                img: Sparse = {}
-                for l, c in rj.items():
-                    for k, v in idx[i].get(l, {}).items():
-                        img[k] = img.get(k, ZERO) + c * v
-                if img:
-                    out[(i, j)] = list(img.items())
-        return BilinearOp.from_dict(self.dim, out)
+        """New product of x and y is x (R y): (R y) x in the opposite."""
+        return self.opposite().compose_left(r).opposite()
 
     def _check_dim(self, other: "BilinearOp") -> None:
         if self.dim != other.dim:
@@ -426,10 +420,6 @@ def _lean_columns(n: int, flat: tuple) -> tuple[Sparse, ...]:
 def sparse_to_vector(dim: int, s: Sparse) -> Vector:
     """Dense Fraction vector of a sparse one, lean scalars included."""
     return Vector(tuple(Q(s[i]) if i in s else ZERO for i in range(dim)))
-
-
-def vector_to_sparse(v: Vector) -> Sparse:
-    return {i: c for i, c in enumerate(v.entries) if c}
 
 
 @dataclass(frozen=True)

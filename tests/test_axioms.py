@@ -237,3 +237,18 @@ class TestTable:
         # skew symmetry reads basis products only; Jacobi: the one triple
         # i < j < k, whose 3 inner products are read and 3 outer computed
         assert len(calls) == 3
+
+    def test_alternating_rows_read_skew_symmetry_off_the_operation(
+            self, monkeypatch):
+        import invder.axioms as axioms
+        scanned, scan = [], axioms._scan
+
+        def counted_scan(row, *args, **kwargs):
+            scanned.append(row.id)
+            return scan(row, *args, **kwargs)
+
+        monkeypatch.setattr(axioms, "_scan", counted_scan)
+        e = entry("heisenberg3")
+        assert check_invder_jacobi(e.algebra, None,
+                                   e.document.map("delta_w")).holds
+        assert scanned == ["invder_jacobi"]

@@ -367,6 +367,23 @@ class TestOneVerdictPerMap:
         assert calls == {"invert": 70, "leibniz": 158}
 
 
+def test_hunt_scans_skew_symmetry_once_per_table_and_twist(monkeypatch):
+    """The hunt's alternating rows read skew symmetry off the operation;
+    the row is scanned by each table's Lie bundle and each forced twist."""
+    import invder.axioms as axioms
+    scanned, scan = [], axioms._scan
+
+    def counted_scan(row, *args, **kwargs):
+        scanned.append(row.id)
+        return scan(row, *args, **kwargs)
+
+    monkeypatch.setattr(axioms, "_scan", counted_scan)
+    report = counterexample_search(SearchConfig(
+        "random_nilpotent_tables", max_dim=6, max_samples=10, seed=7))
+    assert (report.algebras_examined, len(report.findings)) == (40, 13)
+    assert scanned.count("skew_symmetry") == 53
+
+
 def test_hunt_decides_the_leibniz_rule_by_rows(monkeypatch):
     """The Leibniz rule costs no products, nor does a product of two basis
     vectors; the square condition, the twisted kind axioms and the

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invder import (InvDerAlgebra, LinearMap, catalog, derivation_space,
-                    entry, generic_determinant, invder_search, is_derivation,
-                    is_invder, load_algebra, model, run_axiom)
+from invder import (Algebra, BilinearOp, InvDerAlgebra, LinearMap, catalog,
+                    derivation_space, entry, generic_determinant,
+                    invder_search, is_derivation, is_invder, load_algebra,
+                    model, run_axiom)
 from invder.errors import InputError, NotInvDerError
 
 
@@ -49,6 +50,30 @@ class TestDerivationSpace:
                     [rng.randint(-2, 2) for _ in range(space.dim)])
                 comm = a.compose(b) - b.compose(a)
                 assert space.contains(comm), e.id
+
+    def test_draws_are_the_nonzero_combinations_in_order(self):
+        # two coefficients in [-1, 1]: about one draw in nine is zero
+        space = derivation_space(entry("solvable2").algebra)
+        rng, twin = random.Random(5), random.Random(5)
+        draws = list(space.draws(rng, 1, 40))
+        want = []
+        for i in range(40):
+            coeffs = [twin.randint(-1, 1) for _ in range(space.dim)]
+            if any(coeffs):
+                want.append((i, space.combination(coeffs)))
+        assert draws == want and len(draws) < 40
+        assert rng.getstate() == twin.getstate()
+
+    def test_zero_dimensional_space_draws_nothing(self):
+        # e e = e: delta e = c e must satisfy c e = 2 c e, so c = 0
+        alg = Algebra.build("idempotent", ["e"],
+                            {"m": BilinearOp.from_dict(1, {(0, 0): {0: 1}})})
+        space = derivation_space(alg)
+        assert space.dim == 0
+        rng = random.Random(3)
+        state = rng.getstate()
+        assert list(space.draws(rng, 3, 10)) == []
+        assert rng.getstate() == state
 
     def test_combination_length_checked(self):
         space = derivation_space(entry("so3").algebra)

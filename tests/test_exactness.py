@@ -588,3 +588,63 @@ class TestScanLookups:
         assert got == want
         assert as_dict(got) == as_dict(want)
         assert_caches_untouched([op], [delta])
+
+
+@st.composite
+def skew_variants(draw):
+    """A table and whether it is skew: a skew table, one with a nonzero
+    diagonal product or with one coefficient changed, or any table."""
+    n = draw(st.integers(1, 4))
+    how = draw(st.sampled_from(("skew", "diagonal", "changed", "any")))
+    if how == "any":
+        return draw(st.one_of(tables_of(n), sparse_tables_of(n))), None
+    op = draw(sparse_tables_of(n, skew=True))
+    if how == "skew":
+        return op, True
+    table = {key: dict(pairs) for key, pairs in op.constants}
+    i = draw(st.integers(0, n - 1))
+    j = i if how == "diagonal" else draw(st.integers(0, n - 1))
+    cell = table.setdefault((i, j), {})
+    k = draw(st.integers(0, n - 1))
+    cell[k] = cell.get(k, 0) + draw(nonzero_values)
+    return BilinearOp.from_dict(n, table), False
+
+
+class TestSkewSymmetry:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(skew_variants())
+    @example((entry("so3").algebra.op(), True))
+    @example((entry("z3").algebra.op(), False))
+    def test_is_skew_is_the_verdict_of_the_row(self, case):
+        op, skew = case
+        alg = Algebra.build("t", [f"e{i}" for i in range(op.dim)], {"m": op})
+        holds = run_axiom(alg, "skew_symmetry").holds
+        assert op.is_skew() == holds
+        assert skew is None or holds == skew
+        assert_caches_untouched([op], [])
+
+
+class TestMirroredCompositions:
+    """compose_right and twist are written through compose_left, opposite
+    and apply_sparse; each is checked against its definition."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.one_of(tables_and_maps(), structured_derivations(),
+                     st.integers(1, 4).flatmap(sparse_tables_of).flatmap(
+                         lambda op: st.tuples(st.just(op),
+                                              square_maps(op.dim)))))
+    def test_match_plain_fractions(self, pair):
+        op, m = pair
+        n = op.dim
+        right, twisted = op.compose_right(m), op.twist(m)
+        for i, j in product(range(n), repeat=2):
+            x, y = ([Q(int(k == t)) for k in range(n)] for t in (i, j))
+            assert dense(right.basis_product(i, j), n) \
+                == ref_mul(op, x, ref_apply(m, y))
+            assert dense(twisted.basis_product(i, j), n) \
+                == ref_apply(m, ref_mul(op, x, y))
+        assert_fractions(c for out in (right, twisted)
+                         for _, pairs in out.constants for _, c in pairs)
+        assert_caches_untouched([op], [m])
