@@ -101,11 +101,9 @@ class DerivationSpace:
         with i the index of the draw.
 
         Each draw takes one integer coefficient per basis map, uniform in
-        [-coefficient_range, coefficient_range]; a zero-dimensional space
-        draws nothing and leaves rng untouched.
+        [-coefficient_range, coefficient_range], so a zero-dimensional
+        space draws nothing and leaves rng untouched.
         """
-        if not self.dim:
-            return
         for i in range(count):
             coeffs = [rng.randint(-coefficient_range, coefficient_range)
                       for _ in range(self.dim)]

@@ -210,7 +210,8 @@ class BilinearOp:
         if delta.dim != self.dim:
             raise InputError("map dimension does not match operation dimension")
         return BilinearOp.from_dict(self.dim, {
-            key: delta.apply_sparse(dict(pairs)) for key, pairs in self.constants})
+            key: delta.apply_sparse(dict(pairs))
+            for key, pairs in self.constants})
 
     def compose_left(self, r: "LinearMap") -> "BilinearOp":
         """New product of x and y is (R x) y."""
