@@ -24,10 +24,10 @@ _EXPORTS = {
     "axioms": (
         "AXIOM_IDS", "DELTA_AXIOMS", "CheckReport", "Witness",
         "check_associativity", "check_commutativity", "check_dendriform",
-        "check_identity_25", "check_invder_assoc", "check_invder_dendriform",
-        "check_invder_jacobi", "check_invder_prelie", "check_invder_zinbiel",
-        "check_jacobi", "check_pre_lie", "check_skew_symmetry",
-        "check_zinbiel", "check_zinbiel_aux_44", "check_zinbiel_aux_45",
+        "check_identity_25", "check_invder_assoc", "check_invder_jacobi",
+        "check_invder_prelie", "check_invder_zinbiel", "check_jacobi",
+        "check_pre_lie", "check_skew_symmetry", "check_zinbiel",
+        "check_zinbiel_aux_44", "check_zinbiel_aux_45",
         "invder_identity_axioms", "kind_axioms", "kinds_satisfied",
         "leibniz_witness", "run_axiom"),
     "catalog": (
@@ -35,12 +35,11 @@ _EXPORTS = {
         "catalog", "counterexample_search", "entry", "run_property_suite",
         "verify_entry"),
     "constructions": (
-        "ConstructionResult", "RotaBaxterOp", "YauVerdict", "commutator_lie",
-        "commutes", "dendriform_to_assoc", "dendriform_to_prelie",
-        "dendriform_to_zinbiel", "endo_lie_from_assoc", "is_rota_baxter",
-        "rb_prelie_from_assoc", "rb_prelie_from_lie", "twist", "twist_by",
-        "yau_from_twist", "yau_iff_check", "zinbiel_to_assoc",
-        "zinbiel_to_lie"),
+        "ConstructionResult", "YauVerdict", "commutator_lie",
+        "dendriform_to_assoc", "dendriform_to_prelie", "dendriform_to_zinbiel",
+        "endo_lie_from_assoc", "is_rota_baxter", "rb_prelie_from_assoc",
+        "rb_prelie_from_lie", "twist", "twist_by", "yau_from_twist",
+        "yau_iff_check", "zinbiel_to_assoc", "zinbiel_to_lie"),
     "derivations": (
         "DerivationSpace", "InvDerAlgebra", "InvDerSearchResult",
         "InvDerVerdict", "check_squared_leibniz", "derivation_space",

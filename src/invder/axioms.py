@@ -451,12 +451,6 @@ def check_dendriform(alg: Algebra) -> tuple[CheckReport, CheckReport, CheckRepor
     return tuple(_reports(alg, BUNDLES["dendriform"]))
 
 
-def check_invder_dendriform(alg: Algebra, delta: LinearMap
-                            ) -> tuple[CheckReport, CheckReport, CheckReport]:
-    """Twisted counterparts of the three dendriform axioms, in order."""
-    return tuple(_reports(alg, BUNDLES["invder-dendriform"], None, delta))
-
-
 def _known_kind(kind: str) -> str:
     if kind not in KINDS:
         raise InputError(f"unknown structure kind {kind!r}")

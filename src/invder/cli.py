@@ -3,7 +3,8 @@
 Every invocation runs exactly one command and exits with 0 when all
 requested checks passed or an object was produced, 1 when a requested
 mathematical check failed (a verdict, not an error), 2 on bad input,
-bad usage, or a failed construction precondition, and 3 when the program
+bad usage, a failed construction precondition or an output that cannot
+be written (a closed pipe included), and 3 when the program
 itself failed unexpectedly (a bug, never a verdict).  Every algebra file
 is held to the INVDER_MAX_DIM dimension cap.  Results go to stdout,
 diagnostics to stderr.  With identical arguments, input files and seeds
@@ -31,11 +32,21 @@ if TYPE_CHECKING:
     from .axioms import CheckReport
     from .constructions import ConstructionResult
 
-TRANSFORMS = (
-    "commutator-lie", "rb-prelie-from-lie", "rb-prelie-from-assoc",
-    "endo-lie-from-assoc", "zinbiel-to-assoc", "zinbiel-to-lie",
-    "dendriform-to-zinbiel", "dendriform-to-assoc", "dendriform-to-prelie",
-)
+# each passage, named as its construction with "-" for "_", and the options
+# it reads, in the order the construction takes them ("map" is the carried
+# map); a passage refuses --op, --operator or --force when it does not
+# read it
+PASSAGES = {
+    "commutator-lie": ("op", "map"),
+    "rb-prelie-from-lie": ("operator", "op", "map"),
+    "rb-prelie-from-assoc": ("operator", "op", "map"),
+    "endo-lie-from-assoc": ("operator", "op", "map"),
+    "zinbiel-to-assoc": ("op", "map", "force"),
+    "zinbiel-to-lie": ("op", "map", "force"),
+    "dendriform-to-zinbiel": ("map", "force"),
+    "dendriform-to-assoc": ("map", "force"),
+    "dendriform-to-prelie": ("map", "force"),
+}
 
 
 def _emit_json(payload: dict) -> None:
@@ -116,10 +127,6 @@ def _required_map(doc: AlgebraDocument, args, why: str,
         raise InputError(
             f"{why} needs --{option} naming a stored map ({stored})")
     return doc.map(name)
-
-
-def _weight(args):
-    return parse_rational(args.weight)
 
 
 # options naming a stored object or a path; an empty value is bad input,
@@ -284,36 +291,19 @@ def cmd_twist(args) -> int:
 
 def _passage(name: str, doc: AlgebraDocument, args,
              why: str) -> ConstructionResult:
-    """Build one of the TRANSFORMS passages; why names it when --operator
-    is missing."""
-    from .constructions import (RotaBaxterOp, commutator_lie,
-                                dendriform_to_assoc, dendriform_to_prelie,
-                                dendriform_to_zinbiel, endo_lie_from_assoc,
-                                rb_prelie_from_assoc, rb_prelie_from_lie,
-                                zinbiel_to_assoc, zinbiel_to_lie)
+    """Build one of the PASSAGES; why names it in a refusal."""
+    from . import constructions
 
-    alg = doc.algebra
-    delta = _optional_map(doc, args)
-    if name == "commutator-lie":
-        return commutator_lie(alg, args.op, delta)
-    if name in ("rb-prelie-from-lie", "rb-prelie-from-assoc"):
-        rbo = RotaBaxterOp(_required_map(doc, args, why, "operator"),
-                           _weight(args))
-        fn = rb_prelie_from_lie if name == "rb-prelie-from-lie" \
-            else rb_prelie_from_assoc
-        return fn(alg, rbo, args.op, delta)
-    if name == "endo-lie-from-assoc":
-        return endo_lie_from_assoc(
-            alg, _required_map(doc, args, why, "operator"), args.op, delta)
-    if name == "zinbiel-to-assoc":
-        return zinbiel_to_assoc(alg, args.op, delta, args.force)
-    if name == "zinbiel-to-lie":
-        return zinbiel_to_lie(alg, args.op, delta, args.force)
-    if name == "dendriform-to-zinbiel":
-        return dendriform_to_zinbiel(alg, delta, args.force)
-    if name == "dendriform-to-assoc":
-        return dendriform_to_assoc(alg, delta, args.force)
-    return dendriform_to_prelie(alg, delta, args.force)
+    reads = PASSAGES[name]
+    for option in ("op", "operator", "force"):
+        if option not in reads and getattr(args, option):
+            raise InputError(f"{why} does not take --{option}")
+    given = {"op": args.op, "map": _optional_map(doc, args),
+             "force": args.force}
+    if "operator" in reads:
+        given["operator"] = _required_map(doc, args, why, "operator")
+    build = getattr(constructions, name.replace("-", "_"))
+    return build(doc.algebra, *(given[option] for option in reads))
 
 
 def cmd_transform(args) -> int:
@@ -327,7 +317,7 @@ def cmd_rota_baxter(args) -> int:
 
     doc = _load(args)
     operator = _required_map(doc, args, "the identity")
-    weight = _weight(args)
+    weight = parse_rational(args.weight)
     rep = is_rota_baxter(operator, doc.algebra, args.op, weight)
     if args.json:
         _emit_json({"algebra": doc.algebra.name, "map": args.map,
@@ -593,17 +583,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = _add_command(sub, "transform", cmd_transform,
                       "apply a passage between structure kinds", file=False)
-    sp.add_argument("name", choices=TRANSFORMS, metavar="name",
-                    help="one of: " + ", ".join(TRANSFORMS))
+    sp.add_argument("name", choices=PASSAGES, metavar="name",
+                    help="one of: " + ", ".join(PASSAGES))
     sp.add_argument("file", help="algebra file (JSON)")
     sp.add_argument("--op", help="operation name for multi-op files")
     sp.add_argument("--map", help="carried map, verified on the result")
     sp.add_argument("--operator", help="stored map used as the Rota-Baxter "
                                        "operator or endomorphism")
-    sp.add_argument("--weight", default="0",
-                    help="Rota-Baxter weight as a rational (default 0)")
     sp.add_argument("--force", action="store_true",
-                    help="skip the source axiom gate")
+                    help="skip the source axiom gate (zinbiel and "
+                         "dendriform passages)")
     sp.add_argument("-o", "--output", metavar="FILE",
                     help="write the constructed algebra to FILE")
 
@@ -623,8 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--op", help="operation name for multi-op files")
     sp.add_argument("--map", help="stored map the statement quantifies over")
     sp.add_argument("--operator", help="stored map used as the operator")
-    sp.add_argument("--weight", default="0",
-                    help="Rota-Baxter weight as a rational (default 0)")
     sp.add_argument("--force", action="store_true",
                     help="run the construction even when a gate fails")
 
@@ -658,31 +645,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _settle(stream, text: str = "") -> None:
+    """Write text to stream and flush it.  A stream that cannot take it, a
+    closed pipe, is pointed at os.devnull instead, so that the
+    interpreter's own flush at exit cannot fail and turn the exit code
+    into 120."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        try:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), stream.fileno())
+        except OSError:  # no descriptor, as under a capturing harness
+            pass
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        # argparse has written its usage error or help and chosen the code
+        _settle(sys.stdout)
+        _settle(sys.stderr)
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
         _reject_empty(args)
-        return args.handler(args)
+        code = args.handler(args)
+        # a closed stdout fails here, while the exit code can still say so
+        sys.stdout.flush()
+        return code
     except (InputError, SingularMatrixError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
     except InvderError as exc:
         # an internal cross-check refuted itself: a verdict, not bad input
-        print(f"refuted: {exc}", file=sys.stderr)
-        return 1
+        code, line = 1, f"refuted: {exc}"
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, line = 2, f"error: {exc}"
     except Exception as exc:  # a defect here, which must not read as "false"
         message = " ".join(str(exc).split())
-        print(f"internal error: {type(exc).__name__}: {message}",
-              file=sys.stderr)
-        return 3
+        code, line = 3, f"internal error: {type(exc).__name__}: {message}"
+    _settle(sys.stdout)
+    _settle(sys.stderr, line + "\n")
+    return code
 
 
 if __name__ == "__main__":

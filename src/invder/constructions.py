@@ -267,34 +267,9 @@ def commutator_lie(alg: Algebra, op_name: str | None = None,
     return _result(out, "lie", kind_axioms(out, "lie"), delta, verdict)
 
 
-@dataclass(frozen=True)
-class RotaBaxterOp:
-    """A linear operator tagged with the weight it is meant to satisfy."""
-
-    map: LinearMap
-    weight: Q = ZERO
-
-
-def commutes(a: LinearMap, b: LinearMap) -> bool:
-    """Exact commutation of two maps of the same dimension."""
-    if a.dim != b.dim:
-        raise InputError("maps have different dimensions")
-    return a.commutes_with(b)
-
-
-def _rbo_parts(rbo: LinearMap | RotaBaxterOp) -> tuple[LinearMap, Q]:
-    if isinstance(rbo, RotaBaxterOp):
-        return rbo.map, Q(rbo.weight)
-    return rbo, ZERO
-
-
-def is_rota_baxter(r: LinearMap | RotaBaxterOp, alg: Algebra,
-                   op_name: str | None = None,
-                   weight: Q | None = None) -> CheckReport:
+def is_rota_baxter(r: LinearMap, alg: Algebra, op_name: str | None = None,
+                   weight: Q = ZERO) -> CheckReport:
     """Rota-Baxter identity of the given weight on all basis pairs."""
-    r, tagged = _rbo_parts(r)
-    if weight is None:
-        weight = tagged
     op = alg.op(op_name)
     if r.dim != alg.dim:
         raise InputError("map dimension does not match algebra dimension")
@@ -315,25 +290,20 @@ def _carried(alg: Algebra, names: list[str], delta: LinearMap | None,
     return verdict
 
 
-def _weight_zero_rbo(rbo: LinearMap | RotaBaxterOp, alg: Algebra,
-                     name: str) -> LinearMap:
-    r, weight = _rbo_parts(rbo)
-    if weight != ZERO:
-        raise InputError("the pre-Lie passage needs a weight zero operator")
-    rb = is_rota_baxter(r, alg, name, ZERO)
+def _require_rota_baxter(r: LinearMap, alg: Algebra, name: str) -> None:
+    rb = is_rota_baxter(r, alg, name)
     if not rb.holds:
         raise NotRotaBaxterError(
             f"operator fails the weight zero identity at {rb.witness.indices}")
-    return r
 
 
-def rb_prelie_from_lie(alg: Algebra, rbo: LinearMap | RotaBaxterOp,
+def rb_prelie_from_lie(alg: Algebra, r: LinearMap,
                        op_name: str | None = None,
                        delta: LinearMap | None = None) -> ConstructionResult:
     """Pre-Lie product x*y = [Rx, y] from a weight zero Rota-Baxter map."""
     name = _resolve_single(alg, op_name)
     _require_source(kind_axioms(alg, "lie", name), "a Lie bracket", force=False)
-    r = _weight_zero_rbo(rbo, alg, name)
+    _require_rota_baxter(r, alg, name)
     verdict = _carried(alg, [name], delta, r)
     star = alg.op(name).compose_left(r)
     out = alg.with_ops(f"{alg.name}.rb_prelie", {"star": star}, "prelie")
@@ -347,14 +317,14 @@ def rb_prelie_from_lie(alg: Algebra, rbo: LinearMap | RotaBaxterOp,
                    ("weight 0 Rota-Baxter product",))
 
 
-def rb_prelie_from_assoc(alg: Algebra, rbo: LinearMap | RotaBaxterOp,
+def rb_prelie_from_assoc(alg: Algebra, r: LinearMap,
                          op_name: str | None = None,
                          delta: LinearMap | None = None) -> ConstructionResult:
     """Pre-Lie product x*y = (Rx) y - y (Rx) from an associative product."""
     name = _resolve_single(alg, op_name)
     _require_source(kind_axioms(alg, "associative", name), "associative",
                     force=False)
-    r = _weight_zero_rbo(rbo, alg, name)
+    _require_rota_baxter(r, alg, name)
     verdict = _carried(alg, [name], delta, r)
     if delta is not None:
         _require_source([run_axiom(alg, "invder_assoc", name, delta)],

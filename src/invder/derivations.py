@@ -135,9 +135,6 @@ class DerivationSpace:
         sol = solve(system, Vector(candidate.matrix.entries))
         return sol.particular if sol is not None else None
 
-    def contains(self, candidate: LinearMap) -> bool:
-        return self.coordinates_of(candidate) is not None
-
     def to_dict(self) -> dict:
         return {"dim": self.dim,
                 "ops": list(self.op_names),

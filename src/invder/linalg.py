@@ -30,43 +30,14 @@ class Vector:
     def of(values) -> "Vector":
         return Vector(tuple(Q(v) for v in values))
 
-    @staticmethod
-    def zero(n: int) -> "Vector":
-        return Vector((ZERO,) * n)
-
-    @staticmethod
-    def unit(n: int, i: int) -> "Vector":
-        if not 0 <= i < n:
-            raise InputError(f"unit index {i} out of range for dimension {n}")
-        return Vector(tuple(ONE if j == i else ZERO for j in range(n)))
-
     def __len__(self) -> int:
         return len(self.entries)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.entries[i]
 
-    def __add__(self, other: "Vector") -> "Vector":
-        self._check_len(other)
-        return Vector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        self._check_len(other)
-        return Vector(tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "Vector":
-        return Vector(tuple(-a for a in self.entries))
-
-    def scale(self, c) -> "Vector":
-        c = Q(c)
-        return Vector(tuple(c * a for a in self.entries))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
-
-    def _check_len(self, other: "Vector") -> None:
-        if len(self) != len(other):
-            raise InputError(f"vector length mismatch: {len(self)} vs {len(other)}")
 
 
 @dataclass(frozen=True)

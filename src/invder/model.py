@@ -53,7 +53,6 @@ FAMILIES = ("abelian", "heisenberg_like", "filiform", "solvable",
             "random_nilpotent_tables")
 
 Sparse = dict[int, Fraction]
-ConstantTable = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 # row i maps j to the nonzero coordinates of e_i e_j, as lean scalars;
 # pairs whose product is zero are absent
 ProductIndex = tuple[dict[int, Sparse], ...]
@@ -94,13 +93,6 @@ class BilinearOp:
             if entry:
                 cleaned[(i, j)] = entry
         return BilinearOp(dim, tuple(sorted(cleaned.items())))
-
-    @staticmethod
-    def zero(dim: int) -> "BilinearOp":
-        return BilinearOp.from_dict(dim, {})
-
-    def table(self) -> ConstantTable:
-        return dict(self.constants)
 
     def entry(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
         return tuple((k, Q(c)) for k, c in self._index()[i].get(j, {}).items())
@@ -151,19 +143,8 @@ class BilinearOp:
             object.__setattr__(self, "_skew", cached)
         return cached
 
-    def is_zero(self) -> bool:
-        return not self.constants
-
     def basis_product(self, i: int, j: int) -> Sparse:
         return dict(self.entry(i, j))
-
-    def eval(self, x: Vector, y: Vector) -> Vector:
-        """Product of two vectors expressed in the algebra's basis."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise InputError("vector length does not match operation dimension")
-        sx = {i: v for i, v in enumerate(x.entries) if v}
-        sy = {j: v for j, v in enumerate(y.entries) if v}
-        return sparse_to_vector(self.dim, self.mul_sparse(sx, sy))
 
     def mul_sparse(self, x: Sparse, y: Sparse) -> Sparse:
         """Product of two sparse vectors, nonzero coordinates only.
@@ -229,10 +210,6 @@ class BilinearOp:
                 if img:
                     out[(i, j)] = list(img.items())
         return BilinearOp.from_dict(self.dim, out)
-
-    def compose_right(self, r: "LinearMap") -> "BilinearOp":
-        """New product of x and y is x (R y): (R y) x in the opposite."""
-        return self.opposite().compose_left(r).opposite()
 
     def _check_dim(self, other: "BilinearOp") -> None:
         if self.dim != other.dim:
@@ -310,10 +287,6 @@ class LinearMap:
         return LinearMap(Matrix.from_columns(cols))
 
     @staticmethod
-    def from_rows(rows) -> "LinearMap":
-        return LinearMap(Matrix.from_rows(rows))
-
-    @staticmethod
     def identity(n: int) -> "LinearMap":
         return LinearMap(Matrix.identity(n))
 
@@ -327,9 +300,6 @@ class LinearMap:
         n = len(values)
         return LinearMap(Matrix(n, n, tuple(values[i] if i == j else ZERO
                                             for i in range(n) for j in range(n))))
-
-    def apply(self, v: Vector) -> Vector:
-        return self.matrix.apply(v)
 
     def apply_sparse(self, x: Sparse) -> Sparse:
         """Image of a sparse vector, nonzero coordinates only.
@@ -375,23 +345,11 @@ class LinearMap:
         """self after other."""
         return LinearMap(self.matrix.matmul(other.matrix))
 
-    def square(self) -> "LinearMap":
-        return self.compose(self)
-
     def inverse(self) -> "LinearMap":
         return LinearMap(self.matrix.invert())
 
     def is_invertible(self) -> bool:
         return self.matrix.det() != 0
-
-    def det(self) -> Fraction:
-        return self.matrix.det()
-
-    def __add__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.matrix + other.matrix)
-
-    def __sub__(self, other: "LinearMap") -> "LinearMap":
-        return LinearMap(self.matrix - other.matrix)
 
     def scale(self, c) -> "LinearMap":
         return LinearMap(self.matrix.scale(c))
@@ -474,11 +432,6 @@ class Algebra:
     def with_ops(self, name: str, ops: dict[str, BilinearOp],
                  kind_hint: str | None = None) -> "Algebra":
         return Algebra.build(name, self.basis_names, ops, kind_hint)
-
-    def unit_sparse(self, i: int) -> Sparse:
-        if not 0 <= i < self.dim:
-            raise InputError(f"basis index {i} out of range")
-        return {i: Q(1)}
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ def test_criterion_1_lie_regression(capfd):
         space = derivation_space(e.algebra)
         assert space.dim == 3
         for name in ("ad_e1", "ad_e2", "ad_e3"):
-            assert space.contains(e.document.map(name))
+            assert space.coordinates_of(e.document.map(name)) is not None
         result = invder_search(e.algebra)
         assert result.found is None
         assert result.certificate == "generic determinant vanishes"
@@ -169,7 +169,7 @@ def test_criterion_5_passages(capfd):
         heis = entry("heisenberg3")
         rb = rb_prelie_from_lie(heis.algebra,
                                 heis.document.map("proj_center"))
-        assert rb.ok and rb.algebra.op().is_zero()
+        assert rb.ok and not rb.algebra.op().constants
 
         endo = endo_lie_from_assoc(entry("m2").algebra, LinearMap.identity(4))
         assert endo.ok
@@ -180,7 +180,7 @@ def test_criterion_5_passages(capfd):
                                {"left": right.opposite(), "right": right},
                                "dendriform")
         zres = dendriform_to_zinbiel(mirror)
-        assert zres.ok and zres.algebra.op().table() == right.table()
+        assert zres.ok and zres.algebra.op() == right
 
 
 def test_criterion_6_yau_equivalence(capfd):

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output contract, file round trips."""
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -8,7 +9,7 @@ from fractions import Fraction as Q
 import pytest
 
 from invder import load_algebra
-from invder.cli import main
+from invder.cli import PASSAGES, main
 
 
 def run(capsys, *argv):
@@ -385,6 +386,46 @@ class TestTransform:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("transform", "rb-prelie-from-assoc"),
+        ("verify-theorem", "thm-3-rbo")])
+    def test_weight_belongs_to_rota_baxter_only(self, capsys, algebra_dir,
+                                                argv):
+        code, out, err = run(capsys, *argv, path(algebra_dir, "a3"),
+                             "--operator", "proj_z", "--weight=0")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --weight=0" in err
+
+    @pytest.mark.parametrize("argv,entry_id,line", [
+        (("transform", "rb-prelie-from-lie", "--operator", "ad_E12",
+          "--force"), "m2", "error: rb-prelie-from-lie does not take --force\n"),
+        (("verify-theorem", "prop-3.5", "--force"), "so3",
+         "error: commutator-lie does not take --force\n"),
+        (("verify-theorem", "thm-3-rbo", "--operator", "proj_z", "--force"),
+         "a3", "error: the pre-Lie passage does not take --force\n"),
+        (("transform", "commutator-lie", "--operator", "nope"), "a3",
+         "error: commutator-lie does not take --operator\n"),
+        (("transform", "dendriform-to-prelie", "--op", "nope"), "d2",
+         "error: dendriform-to-prelie does not take --op\n"),
+    ])
+    def test_unread_option_is_refused(self, capsys, algebra_dir, argv,
+                                      entry_id, line):
+        code, out, err = run(capsys, *argv[:2], path(algebra_dir, entry_id),
+                             *argv[2:])
+        assert (code, out, err) == (2, "", line)
+
+    @pytest.mark.parametrize("name", PASSAGES)
+    def test_every_passage_refuses_what_it_does_not_read(self, capsys,
+                                                         algebra_dir, name):
+        given = {"op": ("--op", "x"), "operator": ("--operator", "x"),
+                 "force": ("--force",)}
+        for option, argv in given.items():
+            if option not in PASSAGES[name]:
+                code, out, err = run(capsys, "transform", name,
+                                     path(algebra_dir, "a3"), *argv)
+                assert (code, out, err) == (
+                    2, "", f"error: {name} does not take --{option}\n")
+
 
 class TestRotaBaxter:
     def test_weight_zero_operator(self, capsys, algebra_dir):
@@ -637,3 +678,25 @@ class TestSubprocess:
             capture_output=True, text=True)
         assert usage.returncode == 2
         assert usage.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "heisenberg3.json"), ("suite", "--samples", "3"),
+        ("catalog", "--verify"), ("no-such-command",)])
+    def test_closed_output_exits_two(self, algebra_dir, argv):
+        # stdout and stderr on one pipe whose read end is closed before
+        # the command starts, with stdout buffered and unbuffered; the
+        # last is a usage error, which argparse writes
+        argv = [str(algebra_dir / a) if a.endswith(".json") else a
+                for a in argv]
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED"}
+        for extra in ({}, {"PYTHONUNBUFFERED": "1"}):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "invder", *argv],
+                    stdout=write_end, stderr=write_end, env={**env, **extra})
+            finally:
+                os.close(write_end)
+            assert proc.returncode == 2, extra

@@ -8,6 +8,7 @@ Whatever the damage, the command answers 0, 1 or 2 and never reports an
 internal error.
 """
 import contextlib
+import copy
 import io
 import json
 
@@ -33,10 +34,20 @@ COMMANDS = [
     ["twist", "{f}", "--map", "{m}"],
     ["twist", "{f}", "--map", "{m}", "--force"],
     ["transform", "commutator-lie", "{f}", "--map", "{m}"],
+    ["transform", "rb-prelie-from-lie", "{f}", "--operator", "{m}"],
+    ["transform", "rb-prelie-from-assoc", "{f}", "--operator", "{m}"],
+    ["transform", "endo-lie-from-assoc", "{f}", "--operator", "{m}"],
+    ["transform", "zinbiel-to-assoc", "{f}"],
     ["transform", "dendriform-to-zinbiel", "{f}", "--force"],
+    ["transform", "dendriform-to-assoc", "{f}"],
+    ["transform", "dendriform-to-prelie", "{f}"],
     ["rota-baxter", "{f}", "--map", "{m}", "--weight", "-1"],
     ["verify-theorem", "prop-2.1", "{f}", "--map", "{m}"],
     ["verify-theorem", "cor-yau", "{f}", "--map", "{m}"],
+    ["verify-theorem", "thm-yau", "{f}", "--map", "{m}"],
+    ["verify-theorem", "thm-4-dendriform", "{f}", "--map", "{m}"],
+    ["verify-theorem", "thm-3-rbo", "{f}", "--operator", "{m}"],
+    ["verify-theorem", "prop-3.6", "{f}", "--operator", "{m}"],
 ]
 
 
@@ -56,7 +67,9 @@ def _damage(doc, path, value) -> None:
     if value is DROP:
         del parent[path[-1]]
     else:
-        parent[path[-1]] = value
+        # a copy: a second damage inside a shared [], [[]] or {} would
+        # otherwise change REPLACEMENTS, or nest the value in itself
+        parent[path[-1]] = copy.deepcopy(value)
 
 
 # The draws come from one seeded Random, so that damage spreads evenly over

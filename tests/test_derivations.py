@@ -25,7 +25,7 @@ class TestDerivationSpace:
         e = entry("so3")
         space = derivation_space(e.algebra)
         for name in ("ad_e1", "ad_e2", "ad_e3"):
-            assert space.contains(e.document.map(name))
+            assert space.coordinates_of(e.document.map(name)) is not None
         assert space.coordinates_of(LinearMap.identity(3)) is None
 
     def test_every_combination_is_a_derivation(self):
@@ -48,8 +48,8 @@ class TestDerivationSpace:
                     [rng.randint(-2, 2) for _ in range(space.dim)])
                 b = space.combination(
                     [rng.randint(-2, 2) for _ in range(space.dim)])
-                comm = a.compose(b) - b.compose(a)
-                assert space.contains(comm), e.id
+                comm = LinearMap(a.compose(b).matrix - b.compose(a).matrix)
+                assert space.coordinates_of(comm) is not None, e.id
 
     def test_draws_are_the_nonzero_combinations_in_order(self):
         # two coefficients in [-1, 1]: about one draw in nine is zero
@@ -92,7 +92,7 @@ class TestDerivationSpace:
         both = derivation_space(e.algebra)
         left_only = derivation_space(e.algebra, ["left"])
         assert both.dim <= left_only.dim
-        assert both.contains(e.document.map("delta_A"))
+        assert both.coordinates_of(e.document.map("delta_A")) is not None
 
     def test_to_dict_shape(self):
         data = derivation_space(entry("solvable2").algebra).to_dict()

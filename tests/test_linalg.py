@@ -20,22 +20,6 @@ def vec(n):
     return st.lists(ints, min_size=n, max_size=n).map(Vector.of)
 
 
-class TestVector:
-    def test_unit_has_single_nonzero_entry(self):
-        assert Vector.unit(3, 1) == Vector.of([0, 1, 0])
-
-    def test_arithmetic(self):
-        a, b = Vector.of([1, 2]), Vector.of([3, -1])
-        assert a + b == Vector.of([4, 1])
-        assert a - b == Vector.of([-2, 3])
-        assert -a == Vector.of([-1, -2])
-        assert a.scale(Q(1, 2)) == Vector.of([Q(1, 2), 1])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InputError):
-            Vector.of([1]) + Vector.of([1, 2])
-
-
 class TestMatrixBasics:
     def test_columns_and_rows_agree(self):
         m = Matrix.from_rows([[1, 2], [3, 4]])

@@ -3,14 +3,12 @@ import json
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from invder import (Algebra, AlgebraDocument, BilinearOp, LinearMap,
                     algebra_from_dict, algebra_to_dict, catalog, entry,
                     load_algebra, save_algebra)
 from invder.errors import InputError, SingularMatrixError
-from invder.linalg import Vector
+from invder.linalg import Matrix, Vector
 
 SO3 = {
     (0, 1): {2: 1}, (1, 0): {2: -1},
@@ -36,34 +34,24 @@ class TestBilinearOp:
 
     def test_zero_coefficients_are_dropped(self):
         op = BilinearOp.from_dict(2, {(0, 0): {1: 0}})
-        assert op.is_zero()
+        assert not op.constants
         assert op.basis_product(0, 0) == {}
 
-    def test_eval_is_bilinear_expansion(self):
-        op = so3_op()
-        x = Vector.of([1, 1, 0])
-        y = Vector.of([0, 1, 1])
-        # [e1+e2, e2+e3] = e3 - e2 + e1
-        assert op.eval(x, y) == Vector.of([1, -1, 1])
-
-    @given(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-           st.lists(st.integers(-4, 4), min_size=3, max_size=3))
-    def test_mul_sparse_matches_eval(self, xs, ys):
-        op = so3_op()
-        dense = op.eval(Vector.of(xs), Vector.of(ys))
-        sparse = op.mul_sparse({i: Q(v) for i, v in enumerate(xs) if v},
-                               {i: Q(v) for i, v in enumerate(ys) if v})
-        assert dense == Vector.of([sparse.get(i, Q(0)) for i in range(3)])
+    def test_mul_sparse_is_bilinear_expansion(self):
+        # [e1+e2, e2+e3] = e3 - e2 + e1; the dense oracle in
+        # test_exactness checks mul_sparse on random vectors
+        assert so3_op().mul_sparse({0: 1, 1: 1}, {1: 1, 2: 1}) \
+            == {0: 1, 1: -1, 2: 1}
 
     def test_opposite_swaps_arguments(self):
         star = entry("a3").algebra.op()
         assert star.opposite().basis_product(0, 1) == {2: Q(-1)}
-        assert star.opposite().opposite().table() == star.table()
+        assert star.opposite().opposite() == star
 
     def test_additive_structure(self):
         op = so3_op()
-        assert (op - op).is_zero()
-        assert (op + op).table() == op.scale(2).table()
+        assert not (op - op).constants
+        assert op + op == op.scale(2)
 
     def test_twist_post_composes_the_map(self):
         delta = LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]])
@@ -83,42 +71,38 @@ class TestBilinearOp:
         assert heis_op().compose_left(r).basis_product(0, 1) == {2: Q(2)}
         assert heis_op().compose_left(r).basis_product(1, 0) == {2: Q(-1)}
 
-    def test_compose_right_acts_on_second_argument(self):
-        r = LinearMap.diagonal([2, 1, 1])
-        assert heis_op().compose_right(r).basis_product(0, 1) == {2: Q(1)}
-        assert heis_op().compose_right(r).basis_product(1, 0) == {2: Q(-2)}
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
             heis_op().twist(LinearMap.identity(2))
         with pytest.raises(InputError):
-            heis_op() + BilinearOp.zero(2)
+            heis_op() + BilinearOp.from_dict(2, {})
 
 
 class TestLinearMap:
     def test_column_is_image_of_basis_vector(self):
         m = LinearMap.from_columns([[0, 1], [1, 0]])
-        assert m.apply(Vector.unit(2, 0)) == Vector.unit(2, 1)
+        assert m.matrix.apply(Vector.of([1, 0])) == Vector.of([0, 1])
         assert m.column_sparse(0) == {1: Q(1)}
 
     def test_rows_and_columns_are_transposes(self):
-        assert LinearMap.from_rows([[1, 2], [3, 4]]) == \
+        assert LinearMap(Matrix.from_rows([[1, 2], [3, 4]])) == \
             LinearMap.from_columns([[1, 3], [2, 4]])
 
     def test_apply_sparse_matches_apply(self):
         m = LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]])
-        dense = m.apply(Vector.of([1, 0, 2]))
+        dense = m.matrix.apply(Vector.of([1, 0, 2]))
         sparse = m.apply_sparse({0: Q(1), 2: Q(2)})
         assert dense == Vector.of([sparse.get(i, Q(0)) for i in range(3)])
 
     def test_compose_and_square(self):
         d = LinearMap.diagonal([1, 2, 3])
-        assert d.compose(d) == d.square()
-        assert d.square().apply(Vector.unit(3, 1)) == Vector.of([0, 4, 0])
+        assert d.compose(d) == LinearMap.diagonal([1, 4, 9])
+        assert d.compose(d).matrix.apply(Vector.of([0, 1, 0])) \
+            == Vector.of([0, 4, 0])
 
     def test_inverse_round_trip(self):
         m = LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]])
-        assert m.det() == Q(8)
+        assert m.matrix.det() == Q(8)
         assert m.compose(m.inverse()) == LinearMap.identity(3)
         assert not LinearMap.zero(3).is_invertible()
         with pytest.raises(SingularMatrixError):
@@ -166,12 +150,6 @@ class TestAlgebra:
         with pytest.raises(InputError):
             Algebra.build("bad", ["x", "y"], {"bracket": heis_op()})
 
-    def test_unit_sparse_bounds(self):
-        alg = entry("so3").algebra
-        assert alg.unit_sparse(2) == {2: Q(1)}
-        with pytest.raises(InputError):
-            alg.unit_sparse(3)
-
     def test_document_map_lookup(self):
         doc = entry("heisenberg3").document
         assert "delta_w" in doc.map_names()
@@ -189,8 +167,7 @@ class TestSerialization:
             for name, _ in e.document.maps:
                 assert doc.map(name) == e.document.map(name)
             for op_name in e.algebra.op_names():
-                assert doc.algebra.op(op_name).table() == \
-                    e.algebra.op(op_name).table()
+                assert doc.algebra.op(op_name) == e.algebra.op(op_name)
 
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "heis.json")
