@@ -27,9 +27,9 @@ of the operation and refuses to run otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
-from operator import itemgetter, mul
+from operator import mul
 
 from .errors import InputError
 from .linalg import Vector
@@ -103,6 +103,13 @@ class Identity:
         self.arity = len(lhs.variables | rhs.variables)
         self.ops = frozenset(h for h, n in names if n == 2)
         self.maps = frozenset(h for h, n in names if n == 1)
+        # the maps whose every summand, on both sides, has one degree in
+        # them, and that degree
+        self.degrees = {}
+        for name in self.maps:
+            found = _degrees(lhs, name) | _degrees(rhs, name)
+            if len(found) == 1:
+                self.degrees[name] = min(found)
 
     @cached_property
     def plan(self) -> tuple[tuple, int, int]:
@@ -138,6 +145,85 @@ class Identity:
 
         lhs, rhs = visit(self.lhs), visit(self.rhs)
         return tuple(steps), lhs, rhs
+
+    @cached_property
+    def evaluate(self):
+        """The plan compiled once into a function of (tuples, ops, maps,
+        units) that returns the first tuple where the sides differ, with
+        both sides, or None.
+
+        Each step becomes one line of the function, on the local names of
+        the variables (_STEP_CODE): a read is an index into the
+        operation's index of basis products or the map's columns, and a
+        "memo" step looks its variables up in a dict made fresh on every
+        call.  The operations and maps are looked up on every call, so
+        the function is shared by every scan of the row.
+        """
+        steps, lhs, rhs = self.plan
+        used = {lhs, rhs}.union(*(kids for _, kids, _, _, how in steps
+                                  if how != "read"))
+        bound: dict[str, str] = {}
+        body: list[str] = []
+        for s, (head, kids, coeffs, pos, how) in enumerate(steps):
+            args = [steps[k][0] if how == "read" else f"s{k}" for k in kids]
+            if head in VARIABLES:
+                if s not in used:
+                    continue
+                expr = f"units[{head}]"
+            elif head == "+":
+                expr = "signed((" + "".join(
+                    f"({c}, {a}), " for c, a in zip(coeffs, args)) + "))"
+            else:
+                source, name, form = _STEP_CODE[len(kids) == 1,
+                                                how == "read"]
+                name = name.format(head)
+                bound[name] = source.format(head)
+                expr = form.format(name, *args)
+            if how == "memo":
+                names = [VARIABLES[p] for p in pos]
+                key = names[0] if len(names) == 1 \
+                    else "(" + "".join(n + ", " for n in names) + ")"
+                bound[f"memo{s}"] = "{}"
+                body += [f"s{s} = memo{s}.get({key})",
+                         f"if s{s} is None:",
+                         f"    s{s} = memo{s}[{key}] = {expr}"]
+            else:
+                body.append(f"s{s} = {expr}")
+        source = "\n".join([
+            "def evaluate(tuples, ops, maps, units):",
+            *(f"    {name} = {value}" for name, value in bound.items()),
+            "    for t in tuples:",
+            f"        {', '.join(VARIABLES[:self.arity])}, = t",
+            *("        " + line for line in body),
+            f"        if s{lhs} != s{rhs}:",
+            f"            return t, s{lhs}, s{rhs}",
+            "    return None"])
+        namespace = {"signed": _signed_sum, "NO": _NO_PRODUCT}
+        exec(compile(source, f"<identity {self.id}>", "exec"), namespace)
+        return namespace["evaluate"]
+
+
+# how a compiled row writes a map or operation step, keyed (is a map, is a
+# read): what it binds once per call, under which local name, and the
+# expression on that name and the step's arguments
+_STEP_CODE = {
+    (True, True): ("maps[{0!r}].columns()", "cols_{0}", "{0}[{1}]"),
+    (True, False): ("maps[{0!r}].apply_sparse", "apply_{0}", "{0}({1})"),
+    (False, True): ("ops[{0!r}]._index()", "index_{0}", "{0}[{1}].get({2}, NO)"),
+    (False, False): ("ops[{0!r}].mul_sparse", "mul_{0}", "{0}({1}, {2})"),
+}
+
+
+def _degrees(t: Term, name: str) -> set[int]:
+    """The degrees in the map name of the summands of t."""
+    if t.head in VARIABLES:
+        return {0}
+    if t.head == "+":
+        return set().union(*(_degrees(a, name) for a in t.args))
+    out = {int(t.head == name)}
+    for a in t.args:
+        out = {d + e for d in out for e in _degrees(a, name)}
+    return out
 
 
 def _table() -> dict[str, Identity]:
@@ -262,49 +348,17 @@ class CheckReport:
 _NO_PRODUCT: dict = {}
 
 
-def _variable(units, p):
-    return lambda t: units[t[p]]
+def _signed_sum(pairs) -> dict:
+    out: dict = {}
+    for c, part in pairs:
+        for k, v in part.items():
+            out[k] = out.get(k, 0) + (v if c == 1 else c * v)
+    return {k: v for k, v in out.items() if v}
 
 
-def _basis_product(index, p, q):
-    return lambda t: index[t[p]].get(t[q], _NO_PRODUCT)
-
-
-def _basis_image(column, p):
-    return lambda t: column(t[p])
-
-
-def _mapped(apply, a):
-    return lambda t: apply(a(t))
-
-
-def _product(mul, a, b):
-    return lambda t: mul(a(t), b(t))
-
-
-def _signed_sum(coeffs, parts):
-    pairs = tuple(zip(coeffs, parts))
-
-    def ev(t):
-        out = {}
-        for c, part in pairs:
-            for k, v in part(t).items():
-                out[k] = out.get(k, 0) + (v if c == 1 else c * v)
-        return {k: v for k, v in out.items() if v}
-    return ev
-
-
-def _memo(f, pos):
-    key = itemgetter(*pos) if pos else (lambda t: ())
-    memo: dict = {}
-
-    def ev(t):
-        k = key(t)
-        value = memo.get(k)
-        if value is None:
-            value = memo[k] = f(t)
-        return value
-    return ev
+@cache
+def _units(dim: int) -> tuple[dict[int, int], ...]:
+    return tuple({i: 1} for i in range(dim))
 
 
 def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
@@ -314,40 +368,29 @@ def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
 
     tuples, when given, replaces the walk over every basis tuple.  The
     evaluation runs on the lean scalars of the sparse kernels (ints where
-    integral); the witness converts both sides back to Fractions.  The
-    steps that read a basis product or a column return the dicts shared
-    with the operation's index and the map's column cache, which no step
-    mutates.
+    integral) through the row's compiled evaluate; the witness converts
+    both sides back to Fractions.  A map with a denominator that the row
+    is homogeneous in, of degree k, is replaced by its integral multiple:
+    both sides are then den^k times the true ones, so they differ on the
+    same tuples, and the witness divides them back.  The steps that read
+    a basis product or a column return the dicts shared with the
+    operation's index and the map's column cache, which no step mutates.
     """
-    units = [{i: 1} for i in range(dim)]
-    steps, lhs_at, rhs_at = row.plan
-    fns: list = []
-    for head, kids, coeffs, pos, how in steps:
-        if head in VARIABLES:
-            f = _variable(units, pos[0])
-        elif head == "+":
-            f = _signed_sum(coeffs, [fns[k] for k in kids])
-        elif how == "read":
-            at = [steps[k][3][0] for k in kids]
-            if len(kids) == 1:
-                f = _basis_image(maps[head].column_sparse, *at)
-            else:
-                f = _basis_product(ops[head]._index(), *at)
-        elif len(kids) == 1:
-            f = _mapped(maps[head].apply_sparse, fns[kids[0]])
-        else:
-            f = _product(ops[head].mul_sparse, fns[kids[0]], fns[kids[1]])
-        fns.append(_memo(f, pos) if how == "memo" else f)
-    lhs, rhs = fns[lhs_at], fns[rhs_at]
+    scale = 1
+    for name, degree in row.degrees.items():
+        den = maps[name].matrix.den
+        if den != 1:
+            maps = {**maps, name: maps[name].integral_multiple()}
+            scale *= den ** degree
     if tuples is None:
         tuples = combinations(range(dim), row.arity) if alternating \
             else product(range(dim), repeat=row.arity)
-    for t in tuples:
-        left, right = lhs(t), rhs(t)
-        if left != right:
-            return Witness(t, sparse_to_vector(dim, left),
-                           sparse_to_vector(dim, right))
-    return None
+    found = row.evaluate(tuples, ops, maps, _units(dim))
+    if found is None:
+        return None
+    t, left, right = found
+    return Witness(t, sparse_to_vector(dim, left, scale),
+                   sparse_to_vector(dim, right, scale))
 
 
 def identity_witness(identity: str, op: BilinearOp,
@@ -356,19 +399,17 @@ def identity_witness(identity: str, op: BilinearOp,
     return _scan(IDENTITIES[identity], op.dim, {"op": op}, maps)
 
 
-def leibniz_witness(op: BilinearOp, delta: LinearMap,
-                    entries=None) -> Witness | None:
+def leibniz_witness(op: BilinearOp, delta: LinearMap) -> Witness | None:
     """First basis pair where delta fails the Leibniz rule, if any.
 
     The pair is the first one with a row of op.leibniz() that does not
-    vanish on delta's lean entries, or on entries when given: any nonzero
-    multiple of them, such as an integral one of a Fraction map.  The
-    leibniz row of the scan then builds the witness on that pair alone,
-    with delta itself.
+    vanish on delta's integer numerators, which are delta times its
+    denominator.  The leibniz row of the scan then builds the witness on
+    that pair alone.
     """
     if delta.dim != op.dim:
         raise InputError("map dimension does not match operation dimension")
-    flat = delta.lean_entries() if entries is None else entries
+    flat = delta.matrix.num
     for pair, rows in op.leibniz():
         for cells, coeffs in rows:
             if sum(map(mul, coeffs, map(flat.__getitem__, cells))):

@@ -289,15 +289,21 @@ def cmd_twist(args) -> int:
     return _construction_output(res, args, head)
 
 
+def _refuse_unread(args, reads, why: str) -> None:
+    """Refuse any of --op, --operator and --force that reads leaves out;
+    why names the command in the refusal."""
+    for option in ("op", "operator", "force"):
+        if option not in reads and getattr(args, option):
+            raise InputError(f"{why} does not take --{option}")
+
+
 def _passage(name: str, doc: AlgebraDocument, args,
              why: str) -> ConstructionResult:
     """Build one of the PASSAGES; why names it in a refusal."""
     from . import constructions
 
     reads = PASSAGES[name]
-    for option in ("op", "operator", "force"):
-        if option not in reads and getattr(args, option):
-            raise InputError(f"{why} does not take --{option}")
+    _refuse_unread(args, reads, why)
     given = {"op": args.op, "map": _optional_map(doc, args),
              "force": args.force}
     if "operator" in reads:
@@ -330,6 +336,7 @@ def cmd_rota_baxter(args) -> int:
 
 def _theorem_twist(kind: str):
     def run(doc: AlgebraDocument, args):
+        _refuse_unread(args, ("op", "force"), "the twist statement")
         res = _twist(doc, args, kind, "the twist statement")
         return res.ok, {"construction": res.to_dict()}, res.verification
     return run
@@ -339,6 +346,7 @@ def _theorem_axioms(*axioms: str):
     def run(doc: AlgebraDocument, args):
         from .axioms import run_axiom
 
+        _refuse_unread(args, ("op",), "the identity")
         delta = _required_map(doc, args, "the identity")
         reports = [run_axiom(doc.algebra, axiom, args.op, delta)
                    for axiom in axioms]
@@ -351,6 +359,7 @@ def _theorem_prop21(doc: AlgebraDocument, args):
     from .axioms import CheckReport
     from .derivations import is_invder
 
+    _refuse_unread(args, ("op",), "the equivalence")
     delta = _required_map(doc, args, "the equivalence")
     verdict = is_invder(delta, doc.algebra, _single_op(args))
     if not (verdict.is_derivation and verdict.is_invertible):
@@ -370,6 +379,7 @@ def _theorem_yau(kind: str | None):
         from .axioms import CheckReport
         from .constructions import yau_iff_check
 
+        _refuse_unread(args, ("op",), "the equivalence")
         delta = _required_map(doc, args, "the equivalence")
         verdict = yau_iff_check(doc.algebra, delta, kind, args.op)
         ok = verdict.forward == verdict.backward
@@ -539,8 +549,20 @@ def _seeded(sp, samples_default: int) -> None:
                     help="sampling budget")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that help stdout cannot take exits 2: argparse
+    itself drops the write error and exits 0.  The subcommand parsers are
+    of the same class."""
+
+    def print_help(self, file=None) -> None:
+        try:
+            (file or sys.stdout).write(self.format_help())
+        except OSError:
+            self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="invder",
         description="Exact verification of algebras twisted by invertible "
                     "derivations whose inverses are derivations.")
@@ -645,20 +667,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _settle(stream, text: str = "") -> None:
-    """Write text to stream and flush it.  A stream that cannot take it, a
-    closed pipe, is pointed at os.devnull instead, so that the
-    interpreter's own flush at exit cannot fail and turn the exit code
-    into 120."""
+def _settle(stream, text: str = "") -> bool:
+    """Write text to stream and flush it; whether the stream took it.  A
+    stream that cannot take it, a closed pipe, is pointed at os.devnull
+    instead, so that the interpreter's own flush at exit cannot fail and
+    turn the exit code into 120."""
     try:
         stream.write(text)
         stream.flush()
+        return True
     except OSError:
         try:
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), stream.fileno())
         except OSError:  # no descriptor, as under a capturing harness
             pass
+        return False
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -666,11 +690,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse has written its usage error or help and chosen the code
-        _settle(sys.stdout)
+        # argparse has written its usage error or help and chosen the code;
+        # help still buffered that stdout does not take is an output error
+        took = _settle(sys.stdout)
         _settle(sys.stderr)
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        code = exc.code if isinstance(exc.code, int) else 2
+        return 2 if code == 0 and not took else code
     try:
         _reject_empty(args)
         code = args.handler(args)

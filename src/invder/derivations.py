@@ -3,8 +3,11 @@
 A linear map delta is a derivation of an operation when
 delta(x y) = (delta x) y + x (delta y) on all basis pairs.  Collecting that
 rule over every pair and every operation gives a homogeneous linear system
-in the n^2 matrix entries of delta; its kernel is the derivation space,
-returned with the canonical basis produced by the exact solver.
+in the n^2 matrix entries of delta, the integer rows of
+BilinearOp.leibniz; its kernel is the derivation space, returned with the
+canonical basis the fraction-free elimination of linalg produces, over one
+common denominator, so that a combination of the basis is summed on
+integers.
 
 An InvDer map is an invertible derivation whose inverse is again a
 derivation.  For any invertible derivation this is equivalent to the square
@@ -28,7 +31,7 @@ from .errors import (InputError, InvderError, NotInvDerError,
                      SingularMatrixError)
 from .linalg import Matrix, Vector, solve
 from .model import Algebra, BilinearOp, LinearMap
-from .rational import Q, ZERO, lean
+from .rational import Q
 
 if TYPE_CHECKING:
     from .poly import Poly
@@ -42,10 +45,9 @@ def _selected_ops(alg: Algebra, op_names) -> list[tuple[str, BilinearOp]]:
     return [(name, alg.op(name)) for name in op_names]
 
 
-def _leibniz_report(name: str, delta: LinearMap, ops,
-                    entries=None) -> CheckReport:
+def _leibniz_report(name: str, delta: LinearMap, ops) -> CheckReport:
     for _, op in ops:
-        w = leibniz_witness(op, delta, entries)
+        w = leibniz_witness(op, delta)
         if w is not None:
             return CheckReport(name, False, w)
     return CheckReport(name, True)
@@ -83,18 +85,22 @@ class DerivationSpace:
         return len(self.basis)
 
     def combination(self, coeffs) -> LinearMap:
-        """The map sum of c_t basis_t, accumulated in one pass over the
-        nonzero entries of the basis maps."""
-        coeffs = [c if type(c) is int else lean(Q(c)) for c in coeffs]
+        """The map sum of c_t basis_t, accumulated on integers in one pass
+        over the nonzero numerators of the basis maps."""
+        coeffs = [c if type(c) is int else Q(c) for c in coeffs]
         if len(coeffs) != self.dim:
             raise InputError("coefficient count does not match space dimension")
         n = self.algebra.dim
-        total = [0] * (n * n)  # lean scalars, as in the sparse kernels
-        for c, cells in zip(coeffs, self._cells()):
+        cells, den = self._cells()
+        # rational coefficients are taken over their common denominator
+        scale = lcm(*(c.denominator for c in coeffs))
+        total = [0] * (n * n)
+        for c, basis_cells in zip(coeffs, cells):
             if c:
-                for e, v in cells:
+                c = c.numerator * (scale // c.denominator)
+                for e, v in basis_cells:
                     total[e] += c * v
-        return LinearMap.from_kernel(n, total)
+        return LinearMap(Matrix.over(n, n, total, den * scale))
 
     def draws(self, rng: random.Random, coefficient_range: int, count: int):
         """The nonzero maps among count draws from the space, as (i, map)
@@ -110,14 +116,16 @@ class DerivationSpace:
             if any(coeffs):
                 yield i, self.combination(coeffs)
 
-    def _cells(self) -> tuple[tuple[tuple[int, int | Q], ...], ...]:
-        """Each basis map's nonzero lean entries with their row-by-row
-        positions, collected once per space."""
+    def _cells(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+        """Each basis map's nonzero numerators over the basis's common
+        denominator, with their row-by-row positions, and that
+        denominator; collected once per space."""
         cached = getattr(self, "_basis_cells", None)
         if cached is None:
-            cached = tuple(tuple((e, v) for e, v in
-                                 enumerate(b.lean_entries()) if v)
-                           for b in self.basis)
+            den = lcm(*(b.matrix.den for b in self.basis))
+            cached = tuple(tuple((e, v * (den // b.matrix.den))
+                                 for e, v in enumerate(b.matrix.num) if v)
+                           for b in self.basis), den
             object.__setattr__(self, "_basis_cells", cached)
         return cached
 
@@ -128,7 +136,7 @@ class DerivationSpace:
             raise InputError("map dimension does not match algebra dimension")
         if self.dim == 0:
             return Vector(()) if candidate.matrix.is_zero() else None
-        cols = [b.matrix.entries for b in self.basis]
+        cols = [b.lean_entries() for b in self.basis]
         system = Matrix(n * n, self.dim,
                         tuple(cols[t][e] for e in range(n * n)
                               for t in range(self.dim)))
@@ -152,15 +160,13 @@ def derivation_space(alg: Algebra, op_names=None) -> DerivationSpace:
     selected = _selected_ops(alg, op_names)
     rows = dict.fromkeys(row for _, op in selected
                          for _, group in op.leibniz() for row in group)
-    cells = []
-    for positions, coeffs in rows:
-        dense = [ZERO] * (n * n)
+    cells = [0] * (len(rows) * n * n)
+    for r, (positions, coeffs) in enumerate(rows):
         for e, c in zip(positions, coeffs):
-            dense[e] = Q(c)
-        cells.extend(dense)
+            cells[r * n * n + e] = c
     # with no rows (all products vanish) the kernel is every unit map
-    kernel = Matrix(len(rows), n * n, tuple(cells)).kernel_basis()
-    basis = tuple(LinearMap(Matrix(n, n, v.entries)) for v in kernel)
+    kernel, den = Matrix.over(len(rows), n * n, cells).kernel()
+    basis = tuple(LinearMap(Matrix.over(n, n, v, den)) for v in kernel)
     return DerivationSpace(alg, tuple(name for name, _ in selected), basis)
 
 
@@ -211,20 +217,6 @@ def _square_condition(delta: LinearMap, ops) -> CheckReport:
     return CheckReport("square_condition", True)
 
 
-def _inverse_report(inv: LinearMap, alg: Algebra, op_names) -> CheckReport:
-    """is_derivation of the inverse, decided on int arithmetic.
-
-    The Leibniz rows vanish on a map exactly when they vanish on a nonzero
-    multiple of it, so they run on the inverse's entries times the lcm of
-    their denominators; the witness is built on the inverse itself.
-    """
-    scale = lcm(*(v.denominator for v in inv.matrix.entries))
-    entries = tuple(v.numerator * (scale // v.denominator)
-                    for v in inv.matrix.entries)
-    return _leibniz_report("inverse_derivation", inv,
-                           _selected_ops(alg, op_names), entries)
-
-
 def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
     """Full verdict for one map, with the two equivalent routes cross-checked."""
     deriv = is_derivation(delta, alg, op_names)
@@ -232,8 +224,11 @@ def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
         inv = delta.inverse()
     except SingularMatrixError:
         inv = None
-    square = _square_condition(delta, _selected_ops(alg, op_names))
-    inverse = None if inv is None else _inverse_report(inv, alg, op_names)
+    ops = _selected_ops(alg, op_names)
+    square = _square_condition(delta, ops)
+    # the Leibniz rows decide on the inverse's integer numerators
+    inverse = None if inv is None else _leibniz_report(
+        "inverse_derivation", inv, ops)
     inverse_deriv = inverse is not None and inverse.holds
     if deriv.holds and inv is not None and inverse_deriv != square.holds:
         # the two characterisations are provably equivalent for invertible
@@ -297,12 +292,13 @@ def generic_determinant(space: DerivationSpace) -> Poly:
     n = space.algebra.dim
     m = space.dim
     entries = []
+    flats = [b.lean_entries() for b in space.basis]
     for r in range(n):
         row = []
         for c in range(n):
             p = Poly.const(m, 0)
-            for t, b in enumerate(space.basis):
-                coeff = b.matrix.entry(r, c)
+            for t, flat in enumerate(flats):
+                coeff = flat[r * n + c]
                 if coeff:
                     p = p + Poly.variable(m, t, coeff)
             row.append(p)

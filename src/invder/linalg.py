@@ -1,23 +1,33 @@
 """Exact linear algebra over the rationals.
 
+A matrix holds integer numerators over one positive common denominator,
+in lowest terms, so its arithmetic is integer arithmetic and two equal
+matrices hold the same pair.  Its entries as Fractions, and as lean
+scalars (rational.lean: an int where the entry is integral), are built
+only where they are read.
+
 Everything here is small and dense: the algebras this package handles live
 in dimension six or less, so the solvers favour a canonical, reproducible
 answer over asymptotic cleverness.  Reduced row echelon form always chooses
 the leftmost available pivot, pivots are normalised to one, and kernel bases
 enumerate free columns in ascending order with each free variable set to one
-in turn.  Two runs on equal input produce bit-equal output.  Determinants
-and inverses, which are unique, come from one fraction-free elimination on
-the rows scaled to integers, so they cost integer arithmetic only.
+in turn.  Two runs on equal input produce bit-equal output.  Every
+elimination is fraction-free on the integer numerators: rref scales rows by
+integers and divides by a pivot only when it writes the reduced form, and
+determinants and inverses, which are unique, come from one Bareiss
+elimination, so they cost integer arithmetic only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm
 
 from .errors import InputError, SingularMatrixError
-from .rational import ONE, ZERO, Q, lean
+from .rational import ZERO, Q
+
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -40,19 +50,95 @@ class Vector:
         return all(a == 0 for a in self.entries)
 
 
-@dataclass(frozen=True)
+def _rationals(values) -> tuple:
+    return tuple(v if type(v) is int else Q(v) for v in values)
+
+
 class Matrix:
-    """Immutable matrix, stored row major."""
+    """Immutable matrix, row major: entry (i, j) is num[i * cols + j] / den.
 
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
+    den is positive and gcd(den, *num) is 1, so the pair is unique:
+    equality compares it, and the hash is the one of the entries (2 and
+    Fraction(2) hash alike).
+    """
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("rows", "cols", "num", "den", "_lean", "_entries")
+
+    def __init__(self, rows: int, cols: int, entries) -> None:
+        """The matrix with these entries, ints or Fractions, row by row."""
+        entries = tuple(entries)
+        den = lcm(*(v.denominator for v in entries))
+        self._init(rows, cols, tuple(v.numerator * (den // v.denominator)
+                                     for v in entries), den)
+
+    @staticmethod
+    def over(rows: int, cols: int, num, den: int = 1) -> "Matrix":
+        """The matrix of the integers num, row by row, over the nonzero
+        integer den, brought to lowest terms."""
+        if not den:
+            raise InputError("matrix denominator is zero")
+        if den < 0:
+            num, den = [-v for v in num], -den
+        if den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num, den = [v // g for v in num], den // g
+        m = Matrix.__new__(Matrix)
+        m._init(rows, cols, tuple(num), den)
+        return m
+
+    def _init(self, rows: int, cols: int, num: tuple[int, ...],
+              den: int) -> None:
+        if rows < 0 or cols < 0:
             raise InputError("negative matrix shape")
-        if len(self.entries) != self.rows * self.cols:
+        if len(num) != rows * cols:
             raise InputError("matrix entry count does not match shape")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "_lean", None)
+        _set(self, "_entries", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Matrix is immutable: cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.den, self.num) \
+            == (other.rows, other.cols, other.den, other.num)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.lean_entries()))
+
+    def __reduce__(self):
+        return Matrix.over, (self.rows, self.cols, self.num, self.den)
+
+    def __repr__(self) -> str:
+        return f"Matrix.over({self.rows}, {self.cols}, {self.num!r}, {self.den})"
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries as Fractions, row by row; built once, when read."""
+        flat = self._entries
+        if flat is None:
+            den = self.den
+            flat = tuple(map(Q, self.num)) if den == 1 \
+                else tuple(Q(v, den) for v in self.num)
+            _set(self, "_entries", flat)
+        return flat
+
+    def lean_entries(self) -> tuple:
+        """The entries as lean scalars, row by row: the numerators
+        themselves when the matrix is integral."""
+        flat = self._lean
+        if flat is None:
+            den = self.den
+            flat = self.num if den == 1 else tuple(
+                Q(v, den) if v % den else v // den for v in self.num)
+            _set(self, "_lean", flat)
+        return flat
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
@@ -62,7 +148,7 @@ class Matrix:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise InputError("ragged matrix rows")
-        return Matrix(len(rows), width, tuple(Q(v) for r in rows for v in r))
+        return Matrix(len(rows), width, _rationals(v for r in rows for v in r))
 
     @staticmethod
     def from_columns(cols) -> "Matrix":
@@ -72,17 +158,17 @@ class Matrix:
         height = len(cols[0])
         if any(len(c) != height for c in cols):
             raise InputError("ragged matrix columns")
-        return Matrix(height, len(cols),
-                      tuple(Q(cols[j][i]) for i in range(height) for j in range(len(cols))))
+        return Matrix(height, len(cols), _rationals(
+            cols[j][i] for i in range(height) for j in range(len(cols))))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(ONE if i == j else ZERO
-                                  for i in range(n) for j in range(n)))
+        return Matrix.over(n, n, [int(i == j) for i in range(n)
+                                  for j in range(n)])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, (ZERO,) * (rows * cols))
+        return Matrix.over(rows, cols, (0,) * (rows * cols))
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
@@ -102,37 +188,41 @@ class Matrix:
         return self.rows == self.cols
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
         self._check_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        a, b = other.den, sign * self.den
+        return Matrix.over(self.rows, self.cols,
+                           [x * a + y * b for x, y in zip(self.num, other.num)],
+                           self.den * other.den)
 
     def scale(self, c) -> "Matrix":
         c = Q(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        return Matrix.over(self.rows, self.cols,
+                           [c.numerator * v for v in self.num],
+                           c.denominator * self.den)
 
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InputError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        # lean scalars inside, so integral products stay int arithmetic
-        b = [lean(v) for v in other.entries]
+        b = other.num
         width = other.cols
         out = []
         for i in range(self.rows):
-            row = [(k * width, lean(a)) for k, a in
-                   enumerate(self.entries[i * self.cols:(i + 1) * self.cols])
+            row = [(k * width, a) for k, a in
+                   enumerate(self.num[i * self.cols:(i + 1) * self.cols])
                    if a]
             for j in range(width):
                 acc = 0
                 for base, a in row:
                     acc += a * b[base + j]
-                out.append(Q(acc))
-        return Matrix(self.rows, width, tuple(out))
+                out.append(acc)
+        return Matrix.over(self.rows, width, out, self.den * other.den)
 
     def apply(self, v: Vector) -> Vector:
         if self.cols != len(v):
@@ -143,109 +233,131 @@ class Matrix:
             base = i * self.cols
             acc = ZERO
             for k in range(self.cols):
-                a = self.entries[base + k]
+                a = self.num[base + k]
                 if a:
                     acc += a * v[k]
-            out.append(acc)
+            out.append(acc / self.den)
         return Vector(tuple(out))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entry(i, j)
-                            for j in range(self.cols) for i in range(self.rows)))
+        return Matrix.over(self.cols, self.rows,
+                           [self.num[i * self.cols + j] for j in range(self.cols)
+                            for i in range(self.rows)], self.den)
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.num)
+
+    def _num_rows(self) -> list[list[int]]:
+        w = self.cols
+        return [list(self.num[i * w:(i + 1) * w]) for i in range(self.rows)]
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and the tuple of pivot columns.
 
-        Only the nonzero cells of the pivot row take part in an update, so
-        the mostly zero Leibniz systems and augmented identities cost what
-        their nonzero entries cost.  The form is unique, so the result does
-        not depend on the order of the updates.
+        The elimination runs on the integer numerators.  A pivot row is
+        negated to a positive pivot, and any other row is only ever
+        multiplied by a positive integer, less a multiple of the pivot row,
+        and divided by the gcd of its entries.  None of that moves the row
+        space, and the reduced form is unique, so it is each pivot row over
+        its pivot, written over the lcm of the pivots.  Only the rows with
+        a nonzero in the pivot column take part, and when the pivot divides
+        that entry, as the unit pivots of the Leibniz systems do, only the
+        nonzero cells of the pivot row are read, so the mostly zero
+        systems cost what their nonzero entries cost.
         """
-        m = self.row_lists()
+        m = self._num_rows()
+        w = self.cols
         pivots: list[int] = []
         r = 0
-        for c in range(self.cols):
+        for c in range(w):
             pivot_row = next((i for i in range(r, self.rows) if m[i][c]), None)
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
             row = m[r]
+            if row[c] < 0:
+                row = m[r] = [-v for v in row]
+            p = row[c]
             # cells left of the pivot are already zero
-            cells = [(j, row[j]) for j in range(c, self.cols) if row[j]]
-            if row[c] != 1:
-                inv = ONE / row[c]
-                cells = [(j, inv * v) for j, v in cells]
+            cells = [(j, v) for j in range(c, w) if (v := row[j])]
+            for i, other in enumerate(m):
+                f = other[c]
+                if not f or i == r:
+                    continue
+                # p / g times the row, less f / g times the pivot row
+                g = gcd(p, f)
+                if g != p:
+                    s = p // g
+                    other = m[i] = [s * v for v in other]
+                q = f // g
                 for j, v in cells:
-                    row[j] = v
-            for i in range(self.rows):
-                f = m[i][c]
-                if f and i != r:
-                    other = m[i]
-                    for j, v in cells:
-                        other[j] -= f * v
+                    other[j] -= q * v
+                if g != p and (h := gcd(*other)) > 1:
+                    m[i] = [v // h for v in other]
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return Matrix(self.rows, self.cols,
-                      tuple(v for row in m for v in row)), tuple(pivots)
+        heads = [m[k][c] for k, c in enumerate(pivots)]
+        den = lcm(*heads)
+        for k, head in enumerate(heads):
+            if head != den:
+                s = den // head
+                m[k] = [s * v for v in m[k]]
+        return (Matrix.over(self.rows, w, [v for row in m for v in row], den),
+                tuple(pivots))
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
+    def kernel(self) -> tuple[list[list[int]], int]:
+        """Canonical null space basis as integer vectors over one positive
+        denominator: one vector per free column, ascending, with that free
+        variable at one and the other free variables at zero."""
+        reduced, pivots = self.rref()
+        num, den, w = reduced.num, reduced.den, self.cols
+        pivot_set = set(pivots)
+        basis = []
+        for f in range(w):
+            if f in pivot_set:
+                continue
+            v = [0] * w
+            v[f] = den
+            for r, p in enumerate(pivots):
+                v[p] = -num[r * w + f]
+            basis.append(v)
+        return basis, den
+
     def kernel_basis(self) -> list[Vector]:
         """Canonical null space basis: one vector per free column, ascending."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [ZERO] * self.cols
-            v[f] = ONE
-            for r, p in enumerate(pivots):
-                v[p] = -reduced.entry(r, f)
-            basis.append(Vector(tuple(v)))
-        return basis
+        basis, den = self.kernel()
+        return [Vector(tuple(Q(v, den) for v in b)) for b in basis]
 
     def det(self) -> Fraction:
         if not self.is_square:
             raise InputError("determinant of a non-square matrix")
-        rows, scales = self._integral_rows()
-        eliminated = _fraction_free(rows, self.rows)
+        eliminated = _fraction_free(self._num_rows(), self.rows)
         if eliminated is None:
             return ZERO
         sign, d = eliminated
-        return Q(sign * d, prod(scales))
+        return Q(sign * d, self.den ** self.rows)
 
     def invert(self) -> "Matrix":
         """Inverse matrix; raises SingularMatrixError when det = 0."""
         if not self.is_square:
             raise InputError("inverse of a non-square matrix")
         n = self.rows
-        rows, scales = self._integral_rows()
+        rows = self._num_rows()
         for i, row in enumerate(rows):
             row.extend(int(j == i) for j in range(n))
         eliminated = _fraction_free(rows, n)
         if eliminated is None:
             raise SingularMatrixError("matrix is singular")
-        d = eliminated[1]
-        # rows i of A were scaled by s_i, so A^-1 = (SA)^-1 S
-        return Matrix(n, n, tuple(Q(rows[i][n + j] * scales[j], d)
-                                  for i in range(n) for j in range(n)))
-
-    def _integral_rows(self) -> tuple[list[list[int]], list[int]]:
-        """Each row times the lcm of its denominators, and those scales."""
-        rows, scales = [], []
-        for i in range(self.rows):
-            row = self.entries[i * self.cols:(i + 1) * self.cols]
-            s = lcm(*(v.denominator for v in row))
-            rows.append([v.numerator * (s // v.denominator) for v in row])
-            scales.append(s)
-        return rows, scales
+        # the rows end as [d I | d N^-1] for the numerators N = den A, so
+        # A^-1 = den N^-1 is den times the right block over d
+        den = self.den
+        return Matrix.over(n, n, [v * den for row in rows for v in row[n:]],
+                           eliminated[1])
 
     def _check_shape(self, other: "Matrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -257,10 +369,9 @@ def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int] | None:
 
     Works in place on the integer rows of [A | B], A of size n (Bareiss
     1968): after step k every entry is a (k+1)-minor of the input, so the
-    division by the previous pivot is exact, and only the nonzero cells of
-    the pivot row are read.  The rows end as [d I | d A^-1 B]; the result
-    is the sign of the row swaps and d, so det A = sign * d.  None when A
-    is singular.
+    division by the previous pivot is exact.  The rows end as
+    [d I | d A^-1 B]; the result is the sign of the row swaps and d, so
+    det A = sign * d.  None when A is singular.
     """
     sign, prev = 1, 1
     for k in range(n):
@@ -270,23 +381,17 @@ def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int] | None:
         if pivot_row != k:
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign = -sign
-        pivot = rows[k][k]
-        cells = [(j, v) for j, v in enumerate(rows[k]) if v]
+        prow = rows[k]
+        pivot = prow[k]
         for i, row in enumerate(rows):
             if i == k:
                 continue
             f = row[k]
             if f:
-                for j in range(len(row)):
-                    row[j] *= pivot
-                for j, v in cells:
-                    row[j] -= f * v
-                if prev != 1:
-                    for j in range(len(row)):
-                        row[j] //= prev
+                rows[i] = [(pivot * a - f * b) // prev
+                           for a, b in zip(row, prow)]
             elif pivot != prev:
-                for j in range(len(row)):
-                    row[j] = row[j] * pivot // prev
+                rows[i] = [a * pivot // prev for a in row]
         prev = pivot
     return sign, prev
 

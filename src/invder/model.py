@@ -28,8 +28,12 @@ Fraction arithmetic.  Each operation keeps one index of its basis
 products, keyed [i][j], and each map one tuple of its sparse columns; the
 kernels read them, and a scan reads a product of two basis vectors or the
 image of one straight from them, so those shared dicts must never be
-mutated.  Every value that leaves the kernels (matrix and vector entries,
-structure constants, table entries, witnesses) is a Fraction again.
+mutated.  A map's matrix holds integer numerators over one denominator
+(linalg.Matrix); its lean entries and columns are read off them, and its
+integral multiple, the map of the numerators alone, is what the integer
+checks of a map with a denominator run on.  Every value that leaves the
+kernels (matrix and vector entries, structure constants, table entries,
+witnesses) is a Fraction again.
 """
 
 from __future__ import annotations
@@ -307,38 +311,43 @@ class LinearMap:
         A kernel like BilinearOp.mul_sparse: the result holds lean
         scalars, int wherever a value is integral.
         """
+        cols = self.columns()
         out: Sparse = {}
         for j, xj in x.items():
-            for i, m in self.column_sparse(j).items():
+            for i, m in cols[j].items():
                 out[i] = out.get(i, 0) + xj * m
         return {k: v for k, v in out.items() if v}
 
     def column_sparse(self, j: int) -> Sparse:
         """Nonzero entries of column j, as lean scalars."""
+        return self.columns()[j]
+
+    def columns(self) -> tuple[Sparse, ...]:
+        """The nonzero entries of every column, as lean scalars; built
+        once per map and shared, so never mutated."""
         cols = getattr(self, "_cols", None)
         if cols is None:
-            cols = _lean_columns(self.dim, self.lean_entries())
+            n, flat = self.dim, self.lean_entries()
+            cols = tuple({i: v for i in range(n) if (v := flat[i * n + j])}
+                         for j in range(n))
             object.__setattr__(self, "_cols", cols)
-        return cols[j]
+        return cols
 
     def lean_entries(self) -> tuple:
         """The entries row by row, as lean scalars, as the Leibniz rows
         of BilinearOp.leibniz index them."""
-        flat = getattr(self, "_flat", None)
-        if flat is None:
-            flat = tuple(lean(v) for v in self.matrix.entries)
-            object.__setattr__(self, "_flat", flat)
-        return flat
+        return self.matrix.lean_entries()
 
-    @staticmethod
-    def from_kernel(n: int, values) -> "LinearMap":
-        """The map with these entries, row by row, as a sparse kernel sums
-        them (ints and Fractions); its lean_entries and column_sparse
-        caches start filled."""
-        flat = tuple(map(lean, values))
-        m = LinearMap(Matrix(n, n, tuple(map(Q, flat))))
-        object.__setattr__(m, "_flat", flat)
-        object.__setattr__(m, "_cols", _lean_columns(n, flat))
+    def integral_multiple(self) -> "LinearMap":
+        """The map of the matrix numerators: this map times its
+        denominator, itself when integral; built once per map."""
+        a = self.matrix
+        if a.den == 1:
+            return self
+        m = getattr(self, "_integral", None)
+        if m is None:
+            m = LinearMap(Matrix.over(a.rows, a.cols, a.num))
+            object.__setattr__(self, "_integral", m)
         return m
 
     def compose(self, other: "LinearMap") -> "LinearMap":
@@ -358,8 +367,9 @@ class LinearMap:
         return self.compose(other) == other.compose(self)
 
     def to_columns(self) -> list[list[str]]:
-        return [[format_rational(self.matrix.entry(i, j)) for i in range(self.dim)]
-                for j in range(self.dim)]
+        n, flat = self.dim, self.lean_entries()
+        return [[format_rational(flat[i * n + j]) for i in range(n)]
+                for j in range(n)]
 
     @staticmethod
     def from_column_strings(cols, dim: int) -> "LinearMap":
@@ -370,15 +380,10 @@ class LinearMap:
                                        for col in cols])
 
 
-def _lean_columns(n: int, flat: tuple) -> tuple[Sparse, ...]:
-    """The nonzero entries of each column of a row-by-row n x n matrix."""
-    return tuple({i: v for i in range(n) if (v := flat[i * n + j])}
-                 for j in range(n))
-
-
-def sparse_to_vector(dim: int, s: Sparse) -> Vector:
-    """Dense Fraction vector of a sparse one, lean scalars included."""
-    return Vector(tuple(Q(s[i]) if i in s else ZERO for i in range(dim)))
+def sparse_to_vector(dim: int, s: Sparse, den: int = 1) -> Vector:
+    """Dense Fraction vector of a sparse one over den, lean scalars
+    included."""
+    return Vector(tuple(Q(s[i], den) if i in s else ZERO for i in range(dim)))
 
 
 @dataclass(frozen=True)

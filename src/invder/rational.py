@@ -7,12 +7,14 @@ just "p" when the denominator is one.  The helpers below add strict parsing
 so malformed coefficient strings in input files fail loudly instead of
 being coerced.
 
-Inside the hot loops (the sparse kernels of model and axioms, matmul and
-DerivationSpace.combination) a scalar is lean: an int when it is
+Inside the package a value stays integral wherever it can.  A matrix
+(linalg.Matrix) holds integer numerators over one common denominator, and
+its eliminations, products and inverse run on those integers.  The sparse
+kernels of model and axioms run on lean scalars: an int when the value is
 integral, a Fraction otherwise (see lean).  Sums there start at the int 0
 and never divide, so integral tables and maps run on int arithmetic alone
-and stay exact; a value is turned back into a Fraction with Q where it
-leaves the loop.
+and stay exact.  A value is turned into a Fraction with Q only where it
+leaves the package: matrix entries, witnesses, structure constants.
 """
 
 from __future__ import annotations

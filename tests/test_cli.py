@@ -407,6 +407,17 @@ class TestTransform:
          "error: commutator-lie does not take --operator\n"),
         (("transform", "dendriform-to-prelie", "--op", "nope"), "d2",
          "error: dendriform-to-prelie does not take --op\n"),
+        # the statements that build no passage refuse what they do not read
+        (("verify-theorem", "thm-2.1", "--map", "delta_w", "--operator",
+          "nope"), "heisenberg3",
+         "error: the twist statement does not take --operator\n"),
+        (("verify-theorem", "prop-2.2", "--map", "delta_w", "--force"),
+         "heisenberg3", "error: the identity does not take --force\n"),
+        (("verify-theorem", "thm-yau", "--map", "delta_A", "--force",
+          "--operator", "zzz"), "a3",
+         "error: the equivalence does not take --operator\n"),
+        (("verify-theorem", "prop-2.1", "--map", "delta_w", "--force"),
+         "heisenberg3", "error: the equivalence does not take --force\n"),
     ])
     def test_unread_option_is_refused(self, capsys, algebra_dir, argv,
                                       entry_id, line):
@@ -681,11 +692,12 @@ class TestSubprocess:
 
     @pytest.mark.parametrize("argv", [
         ("check", "heisenberg3.json"), ("suite", "--samples", "3"),
-        ("catalog", "--verify"), ("no-such-command",)])
+        ("catalog", "--verify"), ("no-such-command",), ("--help",),
+        ("transform", "--help")])
     def test_closed_output_exits_two(self, algebra_dir, argv):
         # stdout and stderr on one pipe whose read end is closed before
         # the command starts, with stdout buffered and unbuffered; the
-        # last is a usage error, which argparse writes
+        # last three are a usage error and help, which argparse writes
         argv = [str(algebra_dir / a) if a.endswith(".json") else a
                 for a in argv]
         env = {k: v for k, v in os.environ.items()

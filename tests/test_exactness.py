@@ -1,12 +1,13 @@
-"""The lean kernels, the elimination, the Leibniz operator and the scan's
-lookups against plain references.
+"""The lean kernels, the matrix representation, the elimination, the
+Leibniz operator and the scan's lookups against plain references.
 
-The sparse kernels hold integral values as ints, rref updates only the
-nonzero cells of a pivot row, det and invert eliminate fraction-free on
-integer rows, the Leibniz rule is decided by the sparse integer rows of
-BilinearOp.leibniz, the scan reads products of basis vectors and their
-images off shared tables, and it walks only increasing tuples for the
-alternating rows.  Each is compared here with a plain computation written
+The sparse kernels hold integral values as ints, a matrix holds integer
+numerators over one denominator, rref, det and invert eliminate
+fraction-free on integer rows, the Leibniz rule is decided by the sparse
+integer rows of BilinearOp.leibniz on a map's numerators, the scan runs a
+row compiled once, reads products of basis vectors and their images off
+shared tables, and it walks only increasing tuples for the alternating
+rows.  Each is compared here with a plain computation written
 out in this file (dense Fractions, the square rows by their definition with
 the matrix square of delta, the full scan of the leibniz row, the dense
 Leibniz system, the walk over every tuple), on tables, maps and matrices
@@ -15,7 +16,7 @@ value is checked to be a Fraction.
 """
 from fractions import Fraction as Q
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -29,6 +30,7 @@ from invder.axioms import (BUNDLES, IDENTITIES, VARIABLES, _scan,
 from invder.catalog import _family_algebras
 from invder.errors import SingularMatrixError
 from invder.linalg import Matrix
+from invder.rational import lean
 
 # integral and non-integral values, the 1/2 of the z3 table among them
 VALUES = [Q(0), Q(0), Q(0), Q(1), Q(-1), Q(2), Q(-3), Q(1, 2), Q(-2, 3),
@@ -326,6 +328,41 @@ class TestElimination:
         assert inv.row_lists() == [row[n:] for row in want]
 
 
+# ---------------------------------------------------- the representation
+
+
+class TestRepresentation:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_lean_numerator_and_fraction_forms_agree(self, data):
+        height, width = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        entries = [data.draw(values) for _ in range(height * width)]
+        den = lcm(*(v.denominator for v in entries)) \
+            * data.draw(st.integers(1, 3)) * data.draw(st.sampled_from((1, -1)))
+        forms = [Matrix(height, width, tuple(entries)),
+                 Matrix(height, width, tuple(lean(v) for v in entries)),
+                 # not in lowest terms, and with a negative denominator
+                 Matrix.over(height, width, [int(v * den) for v in entries],
+                             den)]
+        first = forms[0]
+        assert first.den > 0 and gcd(first.den, *first.num) == 1
+        for m in forms:
+            assert m == first and hash(m) == hash(first)
+            assert (m.num, m.den) == (first.num, first.den)
+            assert list(m.entries) == entries
+            assert_fractions(m.entries)
+            # an int where integral, a Fraction otherwise
+            assert [(type(v), v) for v in m.lean_entries()] \
+                == [(type(lean(v)), v) for v in entries]
+        # the hash of the entries, as when they were stored as Fractions
+        assert hash(first) == hash((height, width, tuple(entries)))
+        if height == width:
+            columns = [LinearMap(m).to_columns() for m in forms]
+            assert columns == [[[str(entries[i * width + j])
+                                 for i in range(height)]
+                                for j in range(width)]] * len(forms)
+
+
 # ------------------------------------------------------ the Leibniz operator
 
 
@@ -410,9 +447,10 @@ class TestLeibnizOperator:
         inv = delta.inverse()
         want = scanned_leibniz(op, inv)
         assert leibniz_witness(op, inv) == want
-        # the rows decide on a multiple, the witness is the inverse's own
-        got = leibniz_witness(op, inv, integral_multiple(inv))
-        assert as_dict(got) == as_dict(want)
+        # the rows decide on the numerators, the inverse times the lcm of
+        # its denominators, and the witness is the inverse's own
+        assert inv.matrix.num == integral_multiple(inv)
+        assert as_dict(leibniz_witness(op, inv)) == as_dict(want)
         alg = Algebra.build("t", [f"e{i}" for i in range(op.dim)], {"m": op})
         assert is_invder(delta, alg).inverse_derivation.witness == want
 
@@ -467,6 +505,26 @@ class TestLeibnizOperator:
                     == dense_derivation_basis(ops, alg.dim), (alg.name, names)
                 for b in space.basis:
                     assert_fractions(b.matrix.entries)
+
+    def test_fractional_derivation_bases_match_the_dense_system(self):
+        # bases whose maps have denominators 2, 3 and 4: the kernel is read
+        # off the integer elimination over one denominator
+        algebras = [entry("z3").algebra] + _family_algebras(SearchConfig(
+            "random_nilpotent_tables", max_dim=6, tables_per_dim=3))[0]
+        for alg in algebras:
+            space = derivation_space(alg)
+            if all(b.matrix.den == 1 for b in space.basis):
+                continue
+            ops = [op for _, op in alg.ops]
+            dense = dense_derivation_basis(ops, alg.dim)
+            assert [b.matrix.entries for b in space.basis] == dense, alg.name
+            coeffs = [(-1) ** t * (t + 2) for t in range(space.dim)]
+            mix = space.combination(coeffs)
+            assert list(mix.matrix.entries) == [
+                sum((c * b[e] for c, b in zip(coeffs, dense)), Q(0))
+                for e in range(alg.dim ** 2)]
+            assert_fractions(mix.matrix.entries)
+            assert is_derivation(mix, alg).holds
 
 
 # ------------------------------------------------- the lookups of the scan
@@ -586,6 +644,44 @@ class TestScanLookups:
         assert got == want
         assert as_dict(got) == as_dict(want)
         assert_caches_untouched([op], [delta])
+
+
+class TestCompiledRows:
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(SINGLE_OP_ROWS), tables_and_maps(),
+           st.one_of(tables_and_maps(), structured_derivations()))
+    def test_interleaved_scans_keep_apart(self, identity, first, second):
+        # each row is compiled once; a second scan of it, run while the
+        # first is part way through its walk, on another operation and
+        # map, must neither see nor leave memo entries or lookups
+        row = IDENTITIES[identity]
+
+        def scan_of(pair, tuples=None):
+            op, d = pair
+            maps = {"d": d, "R": d, "P": d,
+                    "lam": LinearMap.identity(op.dim).scale(Q(1, 2))}
+            maps = {k: v for k, v in maps.items() if k in row.maps}
+            return _scan(row, op.dim, {"op": op}, maps, tuples=tuples), maps
+
+        def alone(pair):
+            witness, maps = scan_of(pair)
+            assert as_tuple(witness) == ref_witness(identity, {"op": pair[0]},
+                                                    maps)
+            return witness
+
+        inner = []
+
+        def walk(n):
+            for i, t in enumerate(product(range(n), repeat=row.arity)):
+                if i == 1:
+                    inner.append(scan_of(second)[0])
+                yield t
+
+        outer, _ = scan_of(first, walk(first[0].dim))
+        assert outer == alone(first)
+        assert inner in ([], [alone(second)])
+        assert scan_of(second)[0] == alone(second)
 
 
 @st.composite
