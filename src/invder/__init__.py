@@ -23,13 +23,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "axioms": (
         "AXIOM_IDS", "DELTA_AXIOMS", "CheckReport", "Witness",
-        "check_associativity", "check_commutativity", "check_dendriform",
-        "check_identity_25", "check_invder_assoc", "check_invder_jacobi",
-        "check_invder_prelie", "check_invder_zinbiel", "check_jacobi",
-        "check_pre_lie", "check_skew_symmetry", "check_zinbiel",
-        "check_zinbiel_aux_44", "check_zinbiel_aux_45",
-        "invder_identity_axioms", "kind_axioms", "kinds_satisfied",
-        "leibniz_witness", "run_axiom"),
+        "identity_report", "invder_identity_axioms", "kind_axioms",
+        "kinds_satisfied", "leibniz_witness", "run_axiom"),
     "catalog": (
         "CatalogEntry", "SearchConfig", "SearchReport", "SuiteReport",
         "catalog", "counterexample_search", "entry", "run_property_suite",
@@ -42,9 +37,8 @@ _EXPORTS = {
         "yau_iff_check", "zinbiel_to_assoc", "zinbiel_to_lie"),
     "derivations": (
         "DerivationSpace", "InvDerAlgebra", "InvDerSearchResult",
-        "InvDerVerdict", "check_squared_leibniz", "derivation_space",
-        "generic_determinant", "invder_search", "is_derivation",
-        "is_invder"),
+        "InvDerVerdict", "derivation_space", "generic_determinant",
+        "invder_search", "is_derivation", "is_invder"),
     "errors": (
         "CommutationFailureError", "InputError", "InvderError",
         "NotIdempotentError", "NotInvDerError", "NotMultiplicativeError",

@@ -86,8 +86,8 @@ class Identity:
 
     bundle names the group the row belongs to: a structure kind for its
     defining axioms, "invder-" plus the kind for the identities of a map
-    twisting it.  Rows that are not axioms (the Leibniz rule and the other
-    map conditions) are run only through their callers.  An alternating
+    twisting it.  Rows that are not axioms run through identity_report,
+    and the Leibniz rule through leibniz_witness.  An alternating
     row needs only strictly increasing tuples when the table is skew; a
     row that needs a derivation refuses maps that are not.  The arity and
     the operations and maps a row names are read off its two sides.
@@ -393,10 +393,17 @@ def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
                    sparse_to_vector(dim, right, scale))
 
 
-def identity_witness(identity: str, op: BilinearOp,
-                     **maps: LinearMap) -> Witness | None:
-    """Scan a single-operation row of the table with the maps it names."""
-    return _scan(IDENTITIES[identity], op.dim, {"op": op}, maps)
+def identity_report(identity: str, *ops: BilinearOp,
+                    **maps: LinearMap) -> CheckReport:
+    """Scan a single-operation row of the table on each operation in turn,
+    with the maps it names; the witness is the first failing tuple of the
+    first operation that fails."""
+    row = IDENTITIES[identity]
+    for op in ops:
+        witness = _scan(row, op.dim, {"op": op}, maps)
+        if witness is not None:
+            return CheckReport(identity, False, witness)
+    return CheckReport(identity, True)
 
 
 def leibniz_witness(op: BilinearOp, delta: LinearMap) -> Witness | None:
@@ -423,10 +430,10 @@ def leibniz_witness(op: BilinearOp, delta: LinearMap) -> Witness | None:
 
 def run_axiom(alg: Algebra, axiom: str, op_name: str | None = None,
               delta: LinearMap | None = None) -> CheckReport:
-    """Dispatch a single axiom check by identifier.
-
-    An alternating row walks only strictly increasing tuples on a skew
-    operation, which the operation decides once for all its rows.
+    """Run one axiom row by identifier, on the operation op_name selects
+    or, for a dendriform row, which takes no op_name, on the pair "left"
+    and "right".  An alternating row walks only strictly increasing tuples
+    on a skew operation, which the operation decides once for all its rows.
     """
     row = IDENTITIES.get(axiom)
     if row is None or not row.axiom:
@@ -440,6 +447,9 @@ def run_axiom(alg: Algebra, axiom: str, op_name: str | None = None,
         maps["d"] = delta
     if "op" in row.ops:
         ops = {"op": alg.op(op_name)}
+    elif op_name is not None:
+        raise InputError(f'axiom {axiom!r} reads the ops "left" and "right" '
+                         "and takes no op name")
     elif {"left", "right"} <= set(alg.op_names()):
         ops = {"left": alg.op("left"), "right": alg.op("right")}
     else:
@@ -451,47 +461,6 @@ def run_axiom(alg: Algebra, axiom: str, op_name: str | None = None,
     return CheckReport(axiom, witness is None, witness)
 
 
-def _reports(alg: Algebra, axioms, op_name: str | None = None,
-             delta: LinearMap | None = None):
-    for axiom in axioms:
-        yield run_axiom(alg, axiom, op_name, delta)
-
-
-def _plain_check(axiom: str):
-    def check(alg: Algebra, op_name: str | None = None) -> CheckReport:
-        return run_axiom(alg, axiom, op_name)
-    check.__name__ = check.__qualname__ = f"check_{axiom}"
-    return check
-
-
-def _delta_check(axiom: str):
-    def check(alg: Algebra, op_name: str | None,
-              delta: LinearMap) -> CheckReport:
-        return run_axiom(alg, axiom, op_name, delta)
-    check.__name__ = check.__qualname__ = f"check_{axiom}"
-    return check
-
-
-check_skew_symmetry = _plain_check("skew_symmetry")
-check_commutativity = _plain_check("commutativity")
-check_jacobi = _plain_check("jacobi")
-check_associativity = _plain_check("associativity")
-check_pre_lie = _plain_check("pre_lie")
-check_zinbiel = _plain_check("zinbiel")
-check_invder_jacobi = _delta_check("invder_jacobi")
-check_identity_25 = _delta_check("identity_25")
-check_invder_prelie = _delta_check("invder_prelie")
-check_invder_assoc = _delta_check("invder_assoc")
-check_invder_zinbiel = _delta_check("invder_zinbiel")
-check_zinbiel_aux_44 = _delta_check("zinbiel_aux_44")
-check_zinbiel_aux_45 = _delta_check("zinbiel_aux_45")
-
-
-def check_dendriform(alg: Algebra) -> tuple[CheckReport, CheckReport, CheckReport]:
-    """The three dendriform axioms, in order."""
-    return tuple(_reports(alg, BUNDLES["dendriform"]))
-
-
 def _known_kind(kind: str) -> str:
     if kind not in KINDS:
         raise InputError(f"unknown structure kind {kind!r}")
@@ -501,7 +470,7 @@ def _known_kind(kind: str) -> str:
 def kind_axioms(alg: Algebra, kind: str,
                 op_name: str | None = None) -> list[CheckReport]:
     """Reports for the defining axioms of a structure kind."""
-    return list(_reports(alg, BUNDLES[_known_kind(kind)], op_name))
+    return [run_axiom(alg, a, op_name) for a in BUNDLES[_known_kind(kind)]]
 
 
 def invder_identity_axioms(alg: Algebra, kind: str, delta: LinearMap,
@@ -513,10 +482,11 @@ def invder_identity_axioms(alg: Algebra, kind: str, delta: LinearMap,
     """
     axioms = [a for a in BUNDLES[f"invder-{_known_kind(kind)}"]
               if not IDENTITIES[a].needs_derivation]
-    return list(_reports(alg, axioms, op_name, delta))
+    return [run_axiom(alg, a, op_name, delta) for a in axioms]
 
 
 def kinds_satisfied(alg: Algebra, op_name: str | None = None) -> tuple[str, ...]:
     """Single-operation kinds whose axioms actually hold for the table."""
     return tuple(kind for kind in KINDS if kind != "dendriform"
-                 and all(r.holds for r in _reports(alg, BUNDLES[kind], op_name)))
+                 and all(run_axiom(alg, a, op_name).holds
+                         for a in BUNDLES[kind]))

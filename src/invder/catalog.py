@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .axioms import (check_dendriform, check_invder_jacobi, check_jacobi,
-                     identity_witness, invder_identity_axioms, kind_axioms,
-                     kinds_satisfied)
+from .axioms import (identity_report, invder_identity_axioms, kind_axioms,
+                     kinds_satisfied, run_axiom)
 from .constructions import is_rota_baxter, twist_by, yau_from_twist
 from .derivations import derivation_space, invder_search, is_invder
 from .errors import InputError, InvderError
@@ -302,7 +301,7 @@ def verify_entry(e: CatalogEntry) -> list[dict]:
         row("kinds", list(exp["kinds"]), list(kinds_satisfied(alg)))
     if "dendriform" in exp:
         row("dendriform", exp["dendriform"],
-            all(r.holds for r in check_dendriform(alg)))
+            all(r.holds for r in kind_axioms(alg, "dendriform")))
     for name, flags in exp.get("maps", {}).items():
         verdict = is_invder(e.document.map(name), alg).to_dict()
         row(f"map:{name}", flags, {k: verdict[k] for k in flags})
@@ -417,15 +416,15 @@ def run_property_suite(seed: int = 0, samples: int = 100) -> SuiteReport:
                     yv = yau_from_twist(alg, kind, source_holds, verdict, res)
                     record(e.id, label, "yau_iff",
                            yv.forward == yv.backward, True)
-                    for rep in invder_identity_axioms(alg, kind, m):
+                    source = invder_identity_axioms(alg, kind, m)
+                    if kind == "lie":
+                        # the verdict has established the row's precondition
+                        source.append(
+                            identity_report("identity_25", alg.op(), d=m))
+                    for rep in source:
                         record(e.id, label, f"source:{rep.axiom}", rep.holds,
                                True,
                                rep.witness.indices if rep.witness else None)
-                    if kind == "lie":
-                        # the verdict has established the row's precondition
-                        w = identity_witness("identity_25", alg.op(), d=m)
-                        record(e.id, label, "source:identity_25", w is None,
-                               True, w.indices if w else None)
                 except InvderError as exc:
                     record(e.id, label, f"internal:{exc}", False, True)
             elif verdict.is_derivation and not verdict.accepted \
@@ -553,7 +552,7 @@ def _family_algebras(config: SearchConfig) -> tuple[list[Algebra], int]:
                 cand = Algebra.build(f"random_{d}_{kept}", _labels(d),
                                      {"bracket": _op(d, _skew_table(pairs))},
                                      "lie")
-                if check_jacobi(cand).holds:
+                if run_axiom(cand, "jacobi").holds:
                     algebras.append(cand)
                     kept += 1
                 else:
@@ -599,7 +598,7 @@ def counterexample_search(config: SearchConfig) -> SearchReport:
                 continue
             checked += 1
             candidates += 1
-            if check_invder_jacobi(alg, None, delta).holds:
+            if run_axiom(alg, "invder_jacobi", None, delta).holds:
                 continue
             forced = twist_by(alg, delta, "lie", verdict)
             broken = [rep for rep in forced.verification

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import TYPE_CHECKING
 
-from .axioms import CheckReport, identity_witness, leibniz_witness
+from .axioms import CheckReport, identity_report, leibniz_witness
 from .errors import (InputError, InvderError, NotInvDerError,
                      SingularMatrixError)
 from .linalg import Matrix, Vector, solve
@@ -39,14 +39,14 @@ if TYPE_CHECKING:
 VANISHING_DET = "generic determinant vanishes"
 
 
-def _selected_ops(alg: Algebra, op_names) -> list[tuple[str, BilinearOp]]:
+def _selected_ops(alg: Algebra, op_names) -> list[BilinearOp]:
     if op_names is None:
-        return list(alg.ops)
-    return [(name, alg.op(name)) for name in op_names]
+        return [op for _, op in alg.ops]
+    return [alg.op(name) for name in op_names]
 
 
 def _leibniz_report(name: str, delta: LinearMap, ops) -> CheckReport:
-    for _, op in ops:
+    for op in ops:
         w = leibniz_witness(op, delta)
         if w is not None:
             return CheckReport(name, False, w)
@@ -59,17 +59,6 @@ def is_derivation(delta: LinearMap, alg: Algebra,
     if delta.dim != alg.dim:
         raise InputError("map dimension does not match algebra dimension")
     return _leibniz_report("derivation", delta, _selected_ops(alg, op_names))
-
-
-def check_squared_leibniz(alg: Algebra, op_name: str | None,
-                          delta: LinearMap) -> CheckReport:
-    """Second order Leibniz expansion for a derivation delta.
-
-    delta^2 (x y) = (delta^2 x) y + x (delta^2 y) + 2 (delta x)(delta y);
-    the cross term is what keeps delta^2 from being a derivation itself.
-    """
-    witness = identity_witness("squared_leibniz", alg.op(op_name), d=delta)
-    return CheckReport("squared_leibniz", witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -140,8 +129,7 @@ class DerivationSpace:
         system = Matrix(n * n, self.dim,
                         tuple(cols[t][e] for e in range(n * n)
                               for t in range(self.dim)))
-        sol = solve(system, Vector(candidate.matrix.entries))
-        return sol.particular if sol is not None else None
+        return solve(system, Vector(candidate.matrix.entries))
 
     def to_dict(self) -> dict:
         return {"dim": self.dim,
@@ -157,8 +145,8 @@ def derivation_space(alg: Algebra, op_names=None) -> DerivationSpace:
     does not depend on which rows or in which order.
     """
     n = alg.dim
-    selected = _selected_ops(alg, op_names)
-    rows = dict.fromkeys(row for _, op in selected
+    names = tuple(alg.op_names() if op_names is None else op_names)
+    rows = dict.fromkeys(row for op in _selected_ops(alg, names)
                          for _, group in op.leibniz() for row in group)
     cells = [0] * (len(rows) * n * n)
     for r, (positions, coeffs) in enumerate(rows):
@@ -167,7 +155,7 @@ def derivation_space(alg: Algebra, op_names=None) -> DerivationSpace:
     # with no rows (all products vanish) the kernel is every unit map
     kernel, den = Matrix.over(len(rows), n * n, cells).kernel()
     basis = tuple(LinearMap(Matrix.over(n, n, v, den)) for v in kernel)
-    return DerivationSpace(alg, tuple(name for name, _ in selected), basis)
+    return DerivationSpace(alg, names, basis)
 
 
 @dataclass(frozen=True)
@@ -207,16 +195,6 @@ class InvDerVerdict:
         }
 
 
-def _square_condition(delta: LinearMap, ops) -> CheckReport:
-    """mu(delta x, delta y) = delta(delta mu(x, y)) on every selected op;
-    the witness is the first failing pair of the first failing op."""
-    for _, op in ops:
-        w = identity_witness("square_condition", op, d=delta)
-        if w is not None:
-            return CheckReport("square_condition", False, w)
-    return CheckReport("square_condition", True)
-
-
 def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
     """Full verdict for one map, with the two equivalent routes cross-checked."""
     deriv = is_derivation(delta, alg, op_names)
@@ -225,7 +203,7 @@ def is_invder(delta: LinearMap, alg: Algebra, op_names=None) -> InvDerVerdict:
     except SingularMatrixError:
         inv = None
     ops = _selected_ops(alg, op_names)
-    square = _square_condition(delta, ops)
+    square = identity_report("square_condition", *ops, d=delta)
     # the Leibniz rows decide on the inverse's integer numerators
     inverse = None if inv is None else _leibniz_report(
         "inverse_derivation", inv, ops)
@@ -331,7 +309,7 @@ def invder_search(alg: Algebra, op_names=None, *, coefficient_range: int = 3,
         tried += 1
         if not candidate.is_invertible():
             continue
-        if not _square_condition(candidate, ops).holds:
+        if not identity_report("square_condition", *ops, d=candidate).holds:
             continue
         verdict = is_invder(candidate, alg, op_names)
         if verdict.accepted:

@@ -396,19 +396,11 @@ def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int] | None:
     return sign, prev
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    """Solutions of A x = b: one particular solution plus the kernel basis."""
+def solve(a: Matrix, b: Vector) -> Vector | None:
+    """One exact solution of A x = b; None when the system is inconsistent.
 
-    particular: Vector
-    kernel: tuple[Vector, ...]
-
-
-def solve(a: Matrix, b: Vector) -> SolutionSet | None:
-    """Solve A x = b exactly; None when the system is inconsistent.
-
-    The particular solution sets every free variable to zero, so the answer
-    is canonical and reproducible.
+    The solution sets every free variable to zero, so the answer is
+    canonical and reproducible.
     """
     if a.rows != len(b):
         raise InputError(f"system shape mismatch: {a.rows} rows vs {len(b)} rhs")
@@ -421,4 +413,4 @@ def solve(a: Matrix, b: Vector) -> SolutionSet | None:
     x = [ZERO] * a.cols
     for r, p in enumerate(pivots):
         x[p] = reduced.entry(r, a.cols)
-    return SolutionSet(Vector(tuple(x)), tuple(a.kernel_basis()))
+    return Vector(tuple(x))

@@ -14,8 +14,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from invder import (LinearMap, SearchConfig, catalog, check_identity_25,
-                    check_jacobi, check_skew_symmetry, counterexample_search,
+from invder import (LinearMap, SearchConfig, catalog, counterexample_search,
                     dendriform_to_assoc, dendriform_to_prelie,
                     dendriform_to_zinbiel, derivation_space, commutator_lie,
                     endo_lie_from_assoc, entry, invder_identity_axioms,
@@ -52,8 +51,8 @@ def wall_clock(limit_seconds):
 def test_criterion_1_lie_regression(capfd):
     with criterion(1, "lie regression", capfd), wall_clock(1.0):
         e = entry("so3")
-        assert check_skew_symmetry(e.algebra).holds
-        assert check_jacobi(e.algebra).holds
+        assert run_axiom(e.algebra, "skew_symmetry").holds
+        assert run_axiom(e.algebra, "jacobi").holds
         space = derivation_space(e.algebra)
         assert space.dim == 3
         for name in ("ad_e1", "ad_e2", "ad_e3"):
@@ -134,7 +133,8 @@ def test_criterion_4_derived_identities(capfd):
                     continue
                 reports = invder_identity_axioms(ent.algebra, kind, d)
                 if kind == "lie":
-                    reports.append(check_identity_25(ent.algebra, None, d))
+                    reports.append(
+                        run_axiom(ent.algebra, "identity_25", None, d))
                 for rep in reports:
                     assert rep.holds, (ent.id, rep.axiom)
                     instances += 1
@@ -143,7 +143,7 @@ def test_criterion_4_derived_identities(capfd):
         so3 = entry("so3").algebra
         assert leibniz_witness(so3.op(), LinearMap.identity(3)) is not None
         with pytest.raises(InputError):
-            check_identity_25(so3, None, LinearMap.identity(3))
+            run_axiom(so3, "identity_25", None, LinearMap.identity(3))
 
 
 def test_criterion_5_passages(capfd):
@@ -440,8 +440,8 @@ def test_criterion_9_cli_contract(tmp_path, capfd):
         assert twisted.returncode == 0
         doc = load_algebra(out_file)
         assert doc.algebra.op().basis_product(0, 1) == {2: Q(2)}
-        assert check_jacobi(doc.algebra).holds
-        assert check_skew_symmetry(doc.algebra).holds
+        assert run_axiom(doc.algebra, "jacobi").holds
+        assert run_axiom(doc.algebra, "skew_symmetry").holds
         reverify = subprocess.run(
             [sys.executable, "-m", "invder", "check", out_file],
             capture_output=True, text=True)

@@ -4,11 +4,9 @@ from fractions import Fraction as Q
 import pytest
 
 from invder import (AXIOM_IDS, DELTA_AXIOMS, Algebra, BilinearOp, LinearMap,
-                    check_associativity, check_dendriform, check_identity_25,
-                    check_invder_jacobi, check_jacobi, check_skew_symmetry,
-                    check_squared_leibniz, check_zinbiel, entry,
-                    invder_identity_axioms, kind_axioms, kinds_satisfied,
-                    leibniz_witness, run_axiom)
+                    entry, identity_report, invder_identity_axioms,
+                    is_invder, kind_axioms, kinds_satisfied, leibniz_witness,
+                    run_axiom)
 from invder.errors import InputError
 
 
@@ -24,11 +22,11 @@ def broken_so3():
 class TestPlainAxioms:
     def test_so3_is_a_lie_table(self):
         alg = entry("so3").algebra
-        assert check_skew_symmetry(alg).holds
-        assert check_jacobi(alg).holds
+        assert run_axiom(alg, "skew_symmetry").holds
+        assert run_axiom(alg, "jacobi").holds
 
     def test_broken_table_fails_jacobi_with_witness(self):
-        rep = check_jacobi(broken_so3())
+        rep = run_axiom(broken_so3(), "jacobi")
         assert not rep.holds
         assert rep.witness.indices == (0, 1, 2)
         assert rep.witness.to_dict() == {
@@ -36,42 +34,44 @@ class TestPlainAxioms:
 
     def test_skew_failure_reports_first_bad_pair(self):
         alg = entry("m2").algebra
-        rep = check_skew_symmetry(alg)
+        rep = run_axiom(alg, "skew_symmetry")
         assert not rep.holds
         assert rep.witness.indices == (0, 0)
 
     def test_zinbiel_holds_on_catalog_entry(self):
-        assert check_zinbiel(entry("z3").algebra).holds
+        assert run_axiom(entry("z3").algebra, "zinbiel").holds
 
     def test_zinbiel_fails_when_coefficient_is_changed(self):
         bad = Algebra.build("bad_z3", ["u", "v", "w"], {"diamond": BilinearOp.from_dict(3, {
             (0, 0): {1: 1}, (0, 1): {2: 1}, (1, 0): {2: 1},
         })})
-        rep = check_zinbiel(bad)
+        rep = run_axiom(bad, "zinbiel")
         assert not rep.holds
 
     def test_dendriform_trio_holds_on_catalog_entry(self):
-        reps = check_dendriform(entry("d2").algebra)
+        reps = kind_axioms(entry("d2").algebra, "dendriform")
         assert [r.axiom for r in reps] == \
             ["dendriform_1", "dendriform_2", "dendriform_3"]
         assert all(r.holds for r in reps)
 
     def test_dendriform_needs_left_and_right_ops(self):
         with pytest.raises(InputError):
-            check_dendriform(entry("so3").algebra)
+            kind_axioms(entry("so3").algebra, "dendriform")
 
 
 class TestDeltaAxioms:
     def test_inner_derivation_breaks_the_invder_identity(self):
         alg = entry("so3").algebra
-        rep = check_invder_jacobi(alg, None, entry("so3").document.map("ad_e1"))
+        rep = run_axiom(alg, "invder_jacobi", None,
+                        entry("so3").document.map("ad_e1"))
         assert not rep.holds
         assert rep.witness.indices == (0, 1, 2)
         assert rep.witness.to_dict()["lhs"] == ["-2", "0", "0"]
 
     def test_identity_25_fails_on_the_same_derivation(self):
         alg = entry("so3").algebra
-        rep = check_identity_25(alg, None, entry("so3").document.map("ad_e1"))
+        rep = run_axiom(alg, "identity_25", None,
+                        entry("so3").document.map("ad_e1"))
         assert not rep.holds
         assert rep.witness.indices == (0, 1, 2)
         assert rep.witness.to_dict()["lhs"] == ["2", "0", "0"]
@@ -81,14 +81,15 @@ class TestDeltaAxioms:
         alg = entry("so3").algebra
         assert leibniz_witness(alg.op(), LinearMap.identity(3)) is not None
         with pytest.raises(InputError):
-            check_identity_25(alg, None, LinearMap.identity(3))
+            run_axiom(alg, "identity_25", None, LinearMap.identity(3))
 
     def test_accepted_map_satisfies_its_kind_identities(self):
         e = entry("heisenberg3")
         reps = invder_identity_axioms(e.algebra, "lie", e.document.map("delta_w"))
         assert [r.axiom for r in reps] == ["invder_jacobi"]
         assert all(r.holds for r in reps)
-        rep = check_identity_25(e.algebra, None, e.document.map("delta_w"))
+        rep = run_axiom(e.algebra, "identity_25", None,
+                        e.document.map("delta_w"))
         assert rep.holds
 
     def test_zinbiel_identities_on_accepted_map(self):
@@ -109,12 +110,13 @@ class TestDeltaAxioms:
 
     def test_squared_leibniz(self):
         e = entry("heisenberg3")
-        assert check_squared_leibniz(e.algebra, None,
-                                     e.document.map("delta_w")).holds
+        assert identity_report("squared_leibniz", e.algebra.op(),
+                               d=e.document.map("delta_w")).holds
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InputError):
-            check_invder_jacobi(entry("so3").algebra, None, LinearMap.identity(2))
+            run_axiom(entry("so3").algebra, "invder_jacobi", None,
+                      LinearMap.identity(2))
 
 
 class TestDispatch:
@@ -159,11 +161,11 @@ class TestDispatch:
 
 class TestReportShape:
     def test_passing_report_omits_witness(self):
-        rep = check_jacobi(entry("so3").algebra)
+        rep = run_axiom(entry("so3").algebra, "jacobi")
         assert rep.to_dict() == {"axiom": "jacobi", "holds": True}
 
     def test_failing_report_carries_witness(self):
-        rep = check_jacobi(broken_so3())
+        rep = run_axiom(broken_so3(), "jacobi")
         data = rep.to_dict()
         assert data["holds"] is False
         assert data["witness"]["indices"] == [0, 1, 2]
@@ -196,7 +198,7 @@ class TestTable:
             return original(self, x, y)
 
         monkeypatch.setattr(BilinearOp, "mul_sparse", counted)
-        assert check_associativity(entry("abelian_3").algebra).holds
+        assert run_axiom(entry("abelian_3").algebra, "associativity").holds
         # (x y) z and x (y z) once per triple; x y and y z are products of
         # basis vectors, read off the index with no product computed
         assert len(calls) == 2 * 27
@@ -211,7 +213,7 @@ class TestTable:
 
         monkeypatch.setattr(LinearMap, "apply_sparse", counted)
         e = entry("heisenberg3")
-        assert check_identity_25(e.algebra, None,
+        assert run_axiom(e.algebra, "identity_25", None,
                                  e.document.map("delta_w")).holds
         # d(op(y, z)), d(op(z, x)) and d(op(x, y)) once per pair each; the
         # images d(x), d(y), d(z) are columns, read with no product
@@ -249,6 +251,22 @@ class TestTable:
 
         monkeypatch.setattr(axioms, "_scan", counted_scan)
         e = entry("heisenberg3")
-        assert check_invder_jacobi(e.algebra, None,
+        assert run_axiom(e.algebra, "invder_jacobi", None,
                                    e.document.map("delta_w")).holds
         assert scanned == ["invder_jacobi"]
+
+
+class TestIdentityReport:
+    def test_first_failing_op_gives_the_witness(self):
+        # on d2, diag12 keeps the square condition on "left" and breaks it
+        # on "right", first at (0, 0)
+        e = entry("d2")
+        alg, d = e.algebra, e.document.map("diag12")
+        left, right = alg.op("left"), alg.op("right")
+        assert identity_report("square_condition", left, d=d).holds
+        alone = identity_report("square_condition", right, d=d)
+        assert alone.witness.indices == (0, 0)
+        both = identity_report("square_condition", left, right, d=d)
+        assert both == alone
+        assert both.axiom == "square_condition" and not both.holds
+        assert is_invder(d, alg).square == both

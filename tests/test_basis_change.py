@@ -12,8 +12,8 @@ import random
 import pytest
 
 from invder import (Algebra, BilinearOp, LinearMap, catalog,
-                    check_dendriform, derivation_space, entry, is_invder,
-                    is_rota_baxter, kinds_satisfied, twist)
+                    derivation_space, entry, is_invder, is_rota_baxter,
+                    kind_axioms, kinds_satisfied, twist)
 from invder.linalg import Matrix
 
 SEEDS = range(6)
@@ -63,7 +63,7 @@ def kinds(alg: Algebra):
     verdicts of a pair."""
     if len(alg.ops) == 1:
         return kinds_satisfied(alg)
-    return [r.holds for r in check_dendriform(alg)]
+    return [r.holds for r in kind_axioms(alg, "dendriform")]
 
 
 @pytest.mark.parametrize("entry_id", [e.id for e in catalog()])

@@ -8,10 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from invder import (FAMILIES, Algebra, LinearMap, SearchConfig, catalog,
-                    check_invder_jacobi, check_jacobi, counterexample_search,
-                    derivation_space, entry, is_invder, kinds_satisfied,
-                    max_dimension, run_axiom, run_property_suite, twist,
-                    verify_entry)
+                    counterexample_search, derivation_space, entry, is_invder,
+                    kinds_satisfied, max_dimension, run_axiom,
+                    run_property_suite, twist, verify_entry)
 from invder import derivations
 from invder.axioms import CheckReport
 from invder.catalog import _family_algebras
@@ -227,7 +226,7 @@ def sparse_lie_tables(draw):
                 table[(j, i)] = {k: -c for k, c in entry_.items()}
     alg = Algebra.build("t", [f"e{t}" for t in range(n)],
                         {"bracket": BilinearOp.from_dict(n, table)}, "lie")
-    assume(check_jacobi(alg).holds)
+    assume(run_axiom(alg, "jacobi").holds)
     return alg
 
 
@@ -267,7 +266,7 @@ class TestTwistLemma:
                 verdict = is_invder(delta, alg)
                 if not verdict.is_invertible:
                     continue
-                holds = check_invder_jacobi(alg, None, delta).holds
+                holds = run_axiom(alg, "invder_jacobi", None, delta).holds
                 assert holds == twist_is_lie(alg, delta), alg.name
                 if not verdict.inverse_is_derivation:
                     candidates += 1
@@ -284,7 +283,7 @@ class TestTwistLemma:
     @given(lie_tables_and_invertible_derivations())
     def test_skew_tables(self, pair):
         alg, delta = pair
-        assert check_invder_jacobi(alg, None, delta).holds \
+        assert run_axiom(alg, "invder_jacobi", None, delta).holds \
             == twist_is_lie(alg, delta)
 
     def test_hunt_twists_only_its_findings(self, monkeypatch):
@@ -303,9 +302,14 @@ class TestTwistLemma:
     def test_a_twist_that_stays_lie_is_refused(self, monkeypatch):
         # a candidate failing invder_jacobi whose twist reports no failure
         # contradicts the lemma: the hunt stops instead of skipping it
-        monkeypatch.setattr(catalog_module, "check_invder_jacobi",
-                            lambda alg, op_name, delta: CheckReport(
-                                "invder_jacobi", False))
+        original = catalog_module.run_axiom
+
+        def patched(alg, axiom, *args):
+            if axiom == "invder_jacobi":
+                return CheckReport("invder_jacobi", False)
+            return original(alg, axiom, *args)
+
+        monkeypatch.setattr(catalog_module, "run_axiom", patched)
         with pytest.raises(InvderError, match="internal inconsistency"):
             counterexample_search(SearchConfig(
                 "heisenberg_like", max_dim=4, max_samples=20))

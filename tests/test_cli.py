@@ -93,6 +93,20 @@ class TestCheck:
         assert code == 0
         assert out.count("holds") == 3
 
+    @pytest.mark.parametrize("argv, axiom", [
+        (("--axiom", "dendriform", "--op", "nope"), "dendriform_1"),
+        (("--axiom", "invder-dendriform", "--map", "diag12", "--op", "zzz"),
+         "invder_dend_47"),
+        (("--axiom", "dendriform_2", "--op", "left"), "dendriform_2"),
+    ])
+    def test_dendriform_rows_refuse_op(self, capsys, algebra_dir, argv,
+                                       axiom):
+        code, out, err = run(capsys, "check", path(algebra_dir, "d2"), *argv)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: axiom {axiom!r} reads the ops \"left\" and "
+                       "\"right\" and takes no op name\n")
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):

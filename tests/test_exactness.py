@@ -23,10 +23,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from invder import (FAMILIES, Algebra, BilinearOp, LinearMap, SearchConfig,
-                    catalog, check_squared_leibniz, derivation_space, entry,
+                    catalog, derivation_space, entry, identity_report,
                     is_derivation, is_invder, run_axiom)
 from invder.axioms import (BUNDLES, IDENTITIES, VARIABLES, _scan,
-                           identity_witness, leibniz_witness)
+                           leibniz_witness)
 from invder.catalog import _family_algebras
 from invder.errors import SingularMatrixError
 from invder.linalg import Matrix
@@ -200,7 +200,7 @@ class TestLeanKernels:
                 "lam": LinearMap.identity(op.dim).scale(Q(1, 2))}
         maps = {k: v for k, v in maps.items()
                 if k in IDENTITIES[identity].maps}
-        got = identity_witness(identity, op, **maps)
+        got = identity_report(identity, op, **maps).witness
         assert as_tuple(got) == ref_witness(identity, {"op": op}, maps)
         if got is not None:
             assert_fractions(got.lhs.entries + got.rhs.entries)
@@ -424,7 +424,7 @@ STRUCTURED_OPS = [e.algebra.op() for e in catalog()
 
 
 SKEW_OPS = [op for op in STRUCTURED_OPS
-            if identity_witness("skew_symmetry", op) is None]
+            if identity_report("skew_symmetry", op).holds]
 
 
 def integral_multiple(m: LinearMap) -> tuple:
@@ -583,11 +583,11 @@ class TestScanLookups:
             if lhs != rhs:
                 want = t, lhs, rhs
                 break
-        assert as_tuple(identity_witness(identity, op, d=d)) == want
-        alg = Algebra.build("t", [f"e{i}" for i in range(op.dim)], {"m": op})
-        if identity == "squared_leibniz":
-            report = check_squared_leibniz(alg, None, d)
-        else:
+        report = identity_report(identity, op, d=d)
+        assert as_tuple(report.witness) == want
+        if identity == "square_condition":
+            alg = Algebra.build("t", [f"e{i}" for i in range(op.dim)],
+                                {"m": op})
             report = is_invder(d, alg).square
         assert report.holds == (want is None)
         assert as_tuple(report.witness) == want

@@ -104,9 +104,7 @@ class TestRankAndKernel:
 class TestSolve:
     def test_underdetermined_system(self):
         a = Matrix.from_rows([[1, 2], [2, 4]])
-        sol = solve(a, Vector.of([1, 2]))
-        assert sol.particular == Vector.of([1, 0])
-        assert sol.kernel == (Vector.of([-2, 1]),)
+        assert solve(a, Vector.of([1, 2])) == Vector.of([1, 0])
 
     def test_inconsistent_system_returns_none(self):
         a = Matrix.from_rows([[1, 2], [2, 4]])
@@ -122,7 +120,4 @@ class TestSolve:
                 + [list(b.entries)])
             assert aug.rank() == a.rank() + 1
         else:
-            assert a.apply(sol.particular) == b
-            for k in sol.kernel:
-                assert a.apply(k).is_zero()
-            assert len(sol.kernel) == len(a.kernel_basis())
+            assert a.apply(sol) == b

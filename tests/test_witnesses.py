@@ -11,8 +11,8 @@ from fractions import Fraction as Q
 import pytest
 
 from invder import (Algebra, BilinearOp, InvDerVerdict, LinearMap,
-                    check_squared_leibniz, endo_lie_from_assoc, entry,
-                    is_invder, is_rota_baxter, leibniz_witness, run_axiom)
+                    endo_lie_from_assoc, entry, identity_report, is_invder,
+                    is_rota_baxter, leibniz_witness, run_axiom)
 from invder.errors import NotMultiplicativeError
 
 
@@ -118,7 +118,8 @@ def test_leibniz_witness():
 
 def test_squared_leibniz_witness():
     e = entry("heisenberg3")
-    rep = check_squared_leibniz(e.algebra, None, e.document.map("proj_center"))
+    rep = identity_report("squared_leibniz", e.algebra.op(),
+                          d=e.document.map("proj_center"))
     assert rep.to_dict() == {
         "axiom": "squared_leibniz", "holds": False,
         "witness": {"indices": [0, 1], "lhs": ["0", "0", "1"],
