@@ -214,7 +214,7 @@ class TestTable:
         monkeypatch.setattr(LinearMap, "apply_sparse", counted)
         e = entry("heisenberg3")
         assert run_axiom(e.algebra, "identity_25", None,
-                                 e.document.map("delta_w")).holds
+                         e.document.map("delta_w")).holds
         # d(op(y, z)), d(op(z, x)) and d(op(x, y)) once per pair each; the
         # images d(x), d(y), d(z) are columns, read with no product
         assert len(calls) == 3 * 9
@@ -252,7 +252,7 @@ class TestTable:
         monkeypatch.setattr(axioms, "_scan", counted_scan)
         e = entry("heisenberg3")
         assert run_axiom(e.algebra, "invder_jacobi", None,
-                                   e.document.map("delta_w")).holds
+                         e.document.map("delta_w")).holds
         assert scanned == ["invder_jacobi"]
 
 
