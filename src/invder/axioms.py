@@ -26,13 +26,12 @@ of the operation and refuses to run otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations, product
 from operator import mul
 
 from .errors import InputError
-from .linalg import Vector
+from .linalg import Value, Vector, _set
 from .model import KINDS, Algebra, BilinearOp, LinearMap, sparse_to_vector
 
 VARIABLES = ("x", "y", "z")
@@ -309,13 +308,43 @@ BUNDLES = {name: tuple(a for a in AXIOM_IDS if IDENTITIES[a].bundle == name)
            for name in KINDS + tuple(f"invder-{k}" for k in KINDS)}
 
 
-@dataclass(frozen=True)
-class Witness:
-    """First basis tuple where an identity breaks, with both sides."""
+class Witness(Value):
+    """First basis tuple where an identity breaks, with both sides.
 
-    indices: tuple[int, ...]
-    lhs: Vector
-    rhs: Vector
+    The sides are kept as the scan found them: sparse vectors of dimension
+    dim, both scale times the true ones, and shared with the scan's tables,
+    so never mutated.  The Fraction vectors lhs and rhs are built from
+    them when first read, so a witness nobody reads costs no Fraction;
+    equality, the hash and the repr read those vectors.
+    """
+
+    __slots__ = ("indices", "dim", "left", "right", "scale", "_lhs", "_rhs")
+    _fields = ("indices", "dim", "left", "right", "scale")
+    _compared = ("indices", "lhs", "rhs")
+
+    def __init__(self, indices: tuple[int, ...], dim: int, left: dict,
+                 right: dict, scale: int = 1) -> None:
+        _set(self, "indices", indices)
+        _set(self, "dim", dim)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "scale", scale)
+        _set(self, "_lhs", None)
+        _set(self, "_rhs", None)
+
+    @property
+    def lhs(self) -> Vector:
+        if self._lhs is None:
+            _set(self, "_lhs", sparse_to_vector(self.dim, self.left,
+                                                self.scale))
+        return self._lhs
+
+    @property
+    def rhs(self) -> Vector:
+        if self._rhs is None:
+            _set(self, "_rhs", sparse_to_vector(self.dim, self.right,
+                                                self.scale))
+        return self._rhs
 
     def to_dict(self) -> dict:
         return {
@@ -325,13 +354,17 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Value):
     """Outcome of one axiom check; witness present iff the check failed."""
 
-    axiom: str
-    holds: bool
-    witness: Witness | None = None
+    __slots__ = ("axiom", "holds", "witness")
+    _fields = __slots__
+
+    def __init__(self, axiom: str, holds: bool,
+                 witness: Witness | None = None) -> None:
+        _set(self, "axiom", axiom)
+        _set(self, "holds", holds)
+        _set(self, "witness", witness)
 
     def to_dict(self) -> dict:
         data: dict = {"axiom": self.axiom, "holds": self.holds}
@@ -368,11 +401,12 @@ def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
 
     tuples, when given, replaces the walk over every basis tuple.  The
     evaluation runs on the lean scalars of the sparse kernels (ints where
-    integral) through the row's compiled evaluate; the witness converts
-    both sides back to Fractions.  A map with a denominator that the row
-    is homogeneous in, of degree k, is replaced by its integral multiple:
-    both sides are then den^k times the true ones, so they differ on the
-    same tuples, and the witness divides them back.  The steps that read
+    integral) through the row's compiled evaluate; the witness keeps both
+    sides so, and converts them to Fractions only where they are read.  A
+    map with a denominator that the row is homogeneous in, of degree k, is
+    replaced by its integral multiple: both sides are then den^k times the
+    true ones, so they differ on the same tuples, and the witness divides
+    them back when it converts them.  The steps that read
     a basis product or a column return the dicts shared with the
     operation's index and the map's column cache, which no step mutates.
     """
@@ -389,8 +423,7 @@ def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
     if found is None:
         return None
     t, left, right = found
-    return Witness(t, sparse_to_vector(dim, left, scale),
-                   sparse_to_vector(dim, right, scale))
+    return Witness(t, dim, left, right, scale)
 
 
 def identity_report(identity: str, *ops: BilinearOp,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from typing import Callable
 
 from .axioms import (identity_report, invder_identity_axioms, kind_axioms,
@@ -20,6 +19,7 @@ from .axioms import (identity_report, invder_identity_axioms, kind_axioms,
 from .constructions import is_rota_baxter, twist_by, yau_from_twist
 from .derivations import derivation_space, invder_search, is_invder
 from .errors import InputError, InvderError
+from .linalg import Value, _set
 from .model import (FAMILIES, Algebra, AlgebraDocument, BilinearOp, LinearMap,
                     max_dimension)
 from .rational import Q
@@ -28,12 +28,17 @@ SEARCH_SEED = 0
 SEARCH_RANGE = 3
 SEARCH_SAMPLES = 400
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    id: str
-    document: AlgebraDocument
-    expected: dict
-    invder_family: Callable[[random.Random], LinearMap] | None = None
+class CatalogEntry(Value):
+    __slots__ = ("id", "document", "expected", "invder_family")
+    _fields = __slots__
+
+    def __init__(self, id: str, document: AlgebraDocument, expected: dict,
+                 invder_family: Callable[[random.Random], LinearMap]
+                 | None = None) -> None:
+        _set(self, "id", id)
+        _set(self, "document", document)
+        _set(self, "expected", expected)
+        _set(self, "invder_family", invder_family)
 
     @property
     def algebra(self) -> Algebra:
@@ -316,16 +321,22 @@ def verify_entry(e: CatalogEntry) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    seed: int
-    samples: int
-    entries: int
-    accepted_pairs: int
-    prop21_instances: int
-    checks: dict
-    violations: list
-    informational: list
+class SuiteReport(Value):
+    __slots__ = ("seed", "samples", "entries", "accepted_pairs",
+                 "prop21_instances", "checks", "violations", "informational")
+    _fields = __slots__
+
+    def __init__(self, seed: int, samples: int, entries: int,
+                 accepted_pairs: int, prop21_instances: int, checks: dict,
+                 violations: list, informational: list) -> None:
+        _set(self, "seed", seed)
+        _set(self, "samples", samples)
+        _set(self, "entries", entries)
+        _set(self, "accepted_pairs", accepted_pairs)
+        _set(self, "prop21_instances", prop21_instances)
+        _set(self, "checks", checks)
+        _set(self, "violations", violations)
+        _set(self, "informational", informational)
 
     @property
     def ok(self) -> bool:
@@ -438,14 +449,20 @@ def run_property_suite(seed: int = 0, samples: int = 100) -> SuiteReport:
                        checks, violations, informational)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    family: str
-    max_dim: int = 4
-    coefficient_range: int = 3
-    max_samples: int = 200
-    seed: int = 0
-    tables_per_dim: int = 10
+class SearchConfig(Value):
+    __slots__ = ("family", "max_dim", "coefficient_range", "max_samples",
+                 "seed", "tables_per_dim")
+    _fields = __slots__
+
+    def __init__(self, family: str, max_dim: int = 4,
+                 coefficient_range: int = 3, max_samples: int = 200,
+                 seed: int = 0, tables_per_dim: int = 10) -> None:
+        _set(self, "family", family)
+        _set(self, "max_dim", max_dim)
+        _set(self, "coefficient_range", coefficient_range)
+        _set(self, "max_samples", max_samples)
+        _set(self, "seed", seed)
+        _set(self, "tables_per_dim", tables_per_dim)
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
@@ -462,14 +479,20 @@ class SearchConfig:
             raise InputError("search bounds must be positive")
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    config: SearchConfig
-    algebras_examined: int
-    candidates_found: int
-    rows: list
-    findings: list
-    rejected_tables: int
+class SearchReport(Value):
+    __slots__ = ("config", "algebras_examined", "candidates_found", "rows",
+                 "findings", "rejected_tables")
+    _fields = __slots__
+
+    def __init__(self, config: SearchConfig, algebras_examined: int,
+                 candidates_found: int, rows: list, findings: list,
+                 rejected_tables: int) -> None:
+        _set(self, "config", config)
+        _set(self, "algebras_examined", algebras_examined)
+        _set(self, "candidates_found", candidates_found)
+        _set(self, "rows", rows)
+        _set(self, "findings", findings)
+        _set(self, "rejected_tables", rejected_tables)
 
     @property
     def ok(self) -> bool:

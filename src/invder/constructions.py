@@ -16,8 +16,6 @@ only its derivation report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .axioms import (BUNDLES, CheckReport, identity_report,
                      invder_identity_axioms, kind_axioms, run_axiom)
 from .derivations import (InvDerVerdict, is_derivation, is_invder,
@@ -26,18 +24,24 @@ from .errors import (CommutationFailureError, InputError, InvderError,
                      NotIdempotentError, NotMultiplicativeError,
                      NotRotaBaxterError, SourceAxiomFailureError,
                      SymmetryPreconditionFailureError)
+from .linalg import Value, _set
 from .model import Algebra, AlgebraDocument, BilinearOp, LinearMap, algebra_to_dict
 from .rational import Q, ZERO
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(Value):
     """A constructed algebra plus the reports that vouch for it."""
 
-    algebra: Algebra
-    carried_delta: LinearMap | None
-    verification: tuple[CheckReport, ...]
-    notes: tuple[str, ...] = ()
+    __slots__ = ("algebra", "carried_delta", "verification", "notes")
+    _fields = __slots__
+
+    def __init__(self, algebra: Algebra, carried_delta: LinearMap | None,
+                 verification: tuple[CheckReport, ...],
+                 notes: tuple[str, ...] = ()) -> None:
+        _set(self, "algebra", algebra)
+        _set(self, "carried_delta", carried_delta)
+        _set(self, "verification", verification)
+        _set(self, "notes", notes)
 
     @property
     def ok(self) -> bool:
@@ -153,8 +157,7 @@ def _twisted(alg: Algebra, delta: LinearMap, kind: str,
                         {n: alg.op(n).twist(delta) for n in names}, kind)
 
 
-@dataclass(frozen=True)
-class YauVerdict:
+class YauVerdict(Value):
     """Both sides of the twist equivalence for one kind.
 
     forward states the twisted algebra together with the map is a full
@@ -162,11 +165,18 @@ class YauVerdict:
     states the same of the source.  The equivalence asserts they agree.
     """
 
-    kind: str
-    source_holds: bool
-    twisted_holds: bool
-    delta_invder_source: bool
-    delta_invder_twisted: bool
+    __slots__ = ("kind", "source_holds", "twisted_holds",
+                 "delta_invder_source", "delta_invder_twisted")
+    _fields = __slots__
+
+    def __init__(self, kind: str, source_holds: bool, twisted_holds: bool,
+                 delta_invder_source: bool,
+                 delta_invder_twisted: bool) -> None:
+        _set(self, "kind", kind)
+        _set(self, "source_holds", source_holds)
+        _set(self, "twisted_holds", twisted_holds)
+        _set(self, "delta_invder_source", delta_invder_source)
+        _set(self, "delta_invder_twisted", delta_invder_twisted)
 
     @property
     def forward(self) -> bool:

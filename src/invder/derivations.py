@@ -22,14 +22,13 @@ scans or inverts again.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import lcm
 from typing import TYPE_CHECKING
 
 from .axioms import CheckReport, identity_report, leibniz_witness
 from .errors import (InputError, InvderError, NotInvDerError,
                      SingularMatrixError)
-from .linalg import Matrix, Vector, solve
+from .linalg import Matrix, Value, Vector, _set, solve
 from .model import Algebra, BilinearOp, LinearMap
 from .rational import Q
 
@@ -61,13 +60,18 @@ def is_derivation(delta: LinearMap, alg: Algebra,
     return _leibniz_report("derivation", delta, _selected_ops(alg, op_names))
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(Value):
     """Kernel of the Leibniz system, as column-convention matrices."""
 
-    algebra: Algebra
-    op_names: tuple[str, ...]
-    basis: tuple[LinearMap, ...]
+    __slots__ = ("algebra", "op_names", "basis", "_basis_cells")
+    _fields = ("algebra", "op_names", "basis")
+
+    def __init__(self, algebra: Algebra, op_names: tuple[str, ...],
+                 basis: tuple[LinearMap, ...]) -> None:
+        _set(self, "algebra", algebra)
+        _set(self, "op_names", op_names)
+        _set(self, "basis", basis)
+        _set(self, "_basis_cells", None)
 
     @property
     def dim(self) -> int:
@@ -109,13 +113,13 @@ class DerivationSpace:
         """Each basis map's nonzero numerators over the basis's common
         denominator, with their row-by-row positions, and that
         denominator; collected once per space."""
-        cached = getattr(self, "_basis_cells", None)
+        cached = self._basis_cells
         if cached is None:
             den = lcm(*(b.matrix.den for b in self.basis))
             cached = tuple(tuple((e, v * (den // b.matrix.den))
                                  for e, v in enumerate(b.matrix.num) if v)
                            for b in self.basis), den
-            object.__setattr__(self, "_basis_cells", cached)
+            _set(self, "_basis_cells", cached)
         return cached
 
     def coordinates_of(self, candidate: LinearMap) -> Vector | None:
@@ -158,27 +162,35 @@ def derivation_space(alg: Algebra, op_names=None) -> DerivationSpace:
     return DerivationSpace(alg, names, basis)
 
 
-@dataclass(frozen=True)
-class InvDerVerdict:
+class InvDerVerdict(Value):
     """Flags for one candidate map; accepted means all three hold.
 
     The reports behind the two derivation flags and the square condition,
     and the inverse, ride along for callers that need them; they are left
-    out of equality and of to_dict.  inverse and inverse_derivation are
-    None for a singular map.
+    out of equality, of the repr and of to_dict.  inverse and
+    inverse_derivation are None for a singular map.
     """
 
-    is_derivation: bool
-    is_invertible: bool
-    inverse_is_derivation: bool
-    square_condition: bool
-    derivation: CheckReport | None = field(default=None, compare=False,
-                                           repr=False)
-    inverse_derivation: CheckReport | None = field(default=None,
-                                                   compare=False, repr=False)
-    inverse: LinearMap | None = field(default=None, compare=False, repr=False)
-    square: CheckReport | None = field(default=None, compare=False,
-                                       repr=False)
+    __slots__ = ("is_derivation", "is_invertible", "inverse_is_derivation",
+                 "square_condition", "derivation", "inverse_derivation",
+                 "inverse", "square")
+    _fields = __slots__
+    _compared = __slots__[:4]
+
+    def __init__(self, is_derivation: bool, is_invertible: bool,
+                 inverse_is_derivation: bool, square_condition: bool,
+                 derivation: CheckReport | None = None,
+                 inverse_derivation: CheckReport | None = None,
+                 inverse: LinearMap | None = None,
+                 square: CheckReport | None = None) -> None:
+        _set(self, "is_derivation", is_derivation)
+        _set(self, "is_invertible", is_invertible)
+        _set(self, "inverse_is_derivation", inverse_is_derivation)
+        _set(self, "square_condition", square_condition)
+        _set(self, "derivation", derivation)
+        _set(self, "inverse_derivation", inverse_derivation)
+        _set(self, "inverse", inverse)
+        _set(self, "square", square)
 
     @property
     def accepted(self) -> bool:
@@ -228,27 +240,35 @@ def require_invder(delta: LinearMap, alg: Algebra, op_names=None,
     return verdict
 
 
-@dataclass(frozen=True)
-class InvDerAlgebra:
+class InvDerAlgebra(Value):
     """An algebra packaged with an accepted InvDer map and its inverse."""
 
-    algebra: Algebra
-    delta: LinearMap
-    delta_inv: LinearMap
+    __slots__ = ("algebra", "delta", "delta_inv")
+    _fields = __slots__
+
+    def __init__(self, algebra: Algebra, delta: LinearMap,
+                 delta_inv: LinearMap) -> None:
+        _set(self, "algebra", algebra)
+        _set(self, "delta", delta)
+        _set(self, "delta_inv", delta_inv)
 
     @staticmethod
     def create(alg: Algebra, delta: LinearMap) -> "InvDerAlgebra":
         return InvDerAlgebra(alg, delta, require_invder(delta, alg).inverse)
 
 
-@dataclass(frozen=True)
-class InvDerSearchResult:
+class InvDerSearchResult(Value):
     """Outcome of a bounded search over the derivation space."""
 
-    found: LinearMap | None
-    certificate: str | None
-    samples_tried: int
-    space_dim: int
+    __slots__ = ("found", "certificate", "samples_tried", "space_dim")
+    _fields = __slots__
+
+    def __init__(self, found: LinearMap | None, certificate: str | None,
+                 samples_tried: int, space_dim: int) -> None:
+        _set(self, "found", found)
+        _set(self, "certificate", certificate)
+        _set(self, "samples_tried", samples_tried)
+        _set(self, "space_dim", space_dim)
 
     def to_dict(self) -> dict:
         data: dict = {

@@ -16,13 +16,21 @@ elimination is fraction-free on the integer numerators: rref scales rows by
 integers and divides by a pivot only when it writes the reduced form, and
 determinants and inverses, which are unique, come from one Bareiss
 elimination, so they cost integer arithmetic only.
+
+The value types of the package, Matrix and Vector here and the
+operations, maps, algebras, reports and verdicts built on them, are
+plain classes with __slots__ on the Value base: written once in
+__init__, immutable after, and equal when their fields are.  A cache
+that a value fills on first read is a slot set to None in __init__.
+No code is generated for them: a class costs its own body at import,
+and nothing else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import InputError, SingularMatrixError
 from .rational import ZERO, Q
@@ -30,11 +38,59 @@ from .rational import ZERO, Q
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Vector:
+class Value:
+    """Base of the immutable value types: slots written once, in __init__.
+
+    _fields names the constructor's arguments in order; equality, the hash
+    and the repr read the ones _compared names, all of them by default.
+    Equal values are of one class, and a value pickles and copies as its
+    constructor call.  A slot that caches what is first read off the
+    fields is set to None in __init__ and written with _set when filled.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] | None = None
+
+    def __init_subclass__(cls) -> None:
+        names = cls._compared or cls._fields
+        if names:
+            cls._key = attrgetter(*names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}"
+            for f in self._compared or self._fields) + ")"
+
+
+class Vector(Value):
     """Immutable dense column of rationals."""
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ("entries",)
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[Fraction, ...]) -> None:
+        _set(self, "entries", entries)
 
     @staticmethod
     def of(values) -> "Vector":
@@ -54,7 +110,7 @@ def _rationals(values) -> tuple:
     return tuple(v if type(v) is int else Q(v) for v in values)
 
 
-class Matrix:
+class Matrix(Value):
     """Immutable matrix, row major: entry (i, j) is num[i * cols + j] / den.
 
     den is positive and gcd(den, *num) is 1, so the pair is unique:
@@ -99,9 +155,6 @@ class Matrix:
         _set(self, "den", den)
         _set(self, "_lean", None)
         _set(self, "_entries", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Matrix is immutable: cannot set {name!r}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -327,11 +380,6 @@ class Matrix:
                 v[p] = -num[r * w + f]
             basis.append(v)
         return basis, den
-
-    def kernel_basis(self) -> list[Vector]:
-        """Canonical null space basis: one vector per free column, ascending."""
-        basis, den = self.kernel()
-        return [Vector(tuple(Q(v, den) for v in b)) for b in basis]
 
     def det(self) -> Fraction:
         if not self.is_square:

@@ -25,8 +25,9 @@ The sparse kernels (mul_sparse, apply_sparse and the scans built on them)
 run on lean scalars: a value is held as an int when it is integral and as
 a Fraction otherwise, so products of integral tables never pay for
 Fraction arithmetic.  Each operation keeps one index of its basis
-products, keyed [i][j], and each map one tuple of its sparse columns; the
-kernels read them, and a scan reads a product of two basis vectors or the
+products, keyed [i][j], and each map one tuple of its sparse columns,
+each in a slot filled when first read (linalg.Value); the kernels read
+them, and a scan reads a product of two basis vectors or the
 image of one straight from them, so those shared dicts must never be
 mutated.  A map's matrix holds integer numerators over one denominator
 (linalg.Matrix); its lean entries and columns are read off them, and its
@@ -40,12 +41,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError
-from .linalg import Matrix, Vector
+from .linalg import Matrix, Value, Vector, _set
 from .rational import ZERO, Q, format_rational, lean, parse_rational
 
 KINDS = ("lie", "prelie", "associative", "zinbiel", "dendriform")
@@ -78,12 +78,19 @@ def _normalise_entry(dim: int, pairs) -> tuple[tuple[int, Fraction], ...]:
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
-@dataclass(frozen=True)
-class BilinearOp:
+class BilinearOp(Value):
     """Sparse bilinear operation given by rational structure constants."""
 
-    dim: int
-    constants: tuple[tuple[tuple[int, int], tuple[tuple[int, Fraction], ...]], ...]
+    __slots__ = ("dim", "constants", "_idx", "_leibniz", "_skew")
+    _fields = ("dim", "constants")
+
+    def __init__(self, dim: int, constants: tuple[tuple[tuple[int, int],
+                 tuple[tuple[int, Fraction], ...]], ...]) -> None:
+        _set(self, "dim", dim)
+        _set(self, "constants", constants)
+        _set(self, "_idx", None)
+        _set(self, "_leibniz", None)
+        _set(self, "_skew", None)
 
     @staticmethod
     def from_dict(dim: int, table: dict) -> "BilinearOp":
@@ -107,12 +114,12 @@ class BilinearOp:
         Shared by every kernel and scan of this operation: read it, never
         mutate it.
         """
-        cached = getattr(self, "_idx", None)
+        cached = self._idx
         if cached is None:
             cached = tuple({} for _ in range(self.dim))
             for (i, j), pairs in self.constants:
                 cached[i][j] = {k: lean(c) for k, c in pairs}
-            object.__setattr__(self, "_idx", cached)
+            _set(self, "_idx", cached)
         return cached
 
     def leibniz(self) -> LeibnizRows:
@@ -128,23 +135,23 @@ class BilinearOp:
         no row are dropped.  A map is a derivation exactly when every row
         vanishes on its entries.
         """
-        cached = getattr(self, "_leibniz", None)
+        cached = self._leibniz
         if cached is None:
             cached = _leibniz_rows(self.dim, self._index())
-            object.__setattr__(self, "_leibniz", cached)
+            _set(self, "_leibniz", cached)
         return cached
 
     def is_skew(self) -> bool:
         """Whether e_j e_i = -(e_i e_j) on every basis pair, as the
         skew_symmetry row decides it; read off the index once per instance.
         """
-        cached = getattr(self, "_skew", None)
+        cached = self._skew
         if cached is None:
             idx = self._index()
             cached = all(idx[j].get(i) == {k: -v for k, v in pairs.items()}
                          for i, row in enumerate(idx)
                          for j, pairs in row.items())
-            object.__setattr__(self, "_skew", cached)
+            _set(self, "_skew", cached)
         return cached
 
     def basis_product(self, i: int, j: int) -> Sparse:
@@ -272,15 +279,18 @@ def _primitive(row: dict[int, int | Fraction]) -> IntRow | None:
     return tuple(cells), tuple(values)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(Value):
     """Square matrix acting on the algebra, column j = image of basis j."""
 
-    matrix: Matrix
+    __slots__ = ("matrix", "_cols", "_integral")
+    _fields = ("matrix",)
 
-    def __post_init__(self):
-        if not self.matrix.is_square:
+    def __init__(self, matrix: Matrix) -> None:
+        if not matrix.is_square:
             raise InputError("linear maps on an algebra must be square")
+        _set(self, "matrix", matrix)
+        _set(self, "_cols", None)
+        _set(self, "_integral", None)
 
     @property
     def dim(self) -> int:
@@ -325,12 +335,12 @@ class LinearMap:
     def columns(self) -> tuple[Sparse, ...]:
         """The nonzero entries of every column, as lean scalars; built
         once per map and shared, so never mutated."""
-        cols = getattr(self, "_cols", None)
+        cols = self._cols
         if cols is None:
             n, flat = self.dim, self.lean_entries()
             cols = tuple({i: v for i in range(n) if (v := flat[i * n + j])}
                          for j in range(n))
-            object.__setattr__(self, "_cols", cols)
+            _set(self, "_cols", cols)
         return cols
 
     def lean_entries(self) -> tuple:
@@ -344,10 +354,10 @@ class LinearMap:
         a = self.matrix
         if a.den == 1:
             return self
-        m = getattr(self, "_integral", None)
+        m = self._integral
         if m is None:
             m = LinearMap(Matrix.over(a.rows, a.cols, a.num))
-            object.__setattr__(self, "_integral", m)
+            _set(self, "_integral", m)
         return m
 
     def compose(self, other: "LinearMap") -> "LinearMap":
@@ -386,33 +396,36 @@ def sparse_to_vector(dim: int, s: Sparse, den: int = 1) -> Vector:
     return Vector(tuple(Q(s[i], den) if i in s else ZERO for i in range(dim)))
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Value):
     """Named algebra: basis labels plus one or more operations."""
 
-    name: str
-    dim: int
-    basis_names: tuple[str, ...]
-    ops: tuple[tuple[str, BilinearOp], ...]
-    kind_hint: str | None = None
+    __slots__ = ("name", "dim", "basis_names", "ops", "kind_hint")
+    _fields = __slots__
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, name: str, dim: int, basis_names: tuple[str, ...],
+                 ops: tuple[tuple[str, BilinearOp], ...],
+                 kind_hint: str | None = None) -> None:
+        if dim < 1:
             raise InputError("algebra dimension must be at least 1")
-        if len(self.basis_names) != self.dim:
+        if len(basis_names) != dim:
             raise InputError("basis label count does not match dimension")
-        if not self.ops:
+        if not ops:
             raise InputError("algebra needs at least one operation")
-        for name, op in self.ops:
-            if op.dim != self.dim:
-                raise InputError(f"operation {name!r} has wrong dimension")
-        if self.kind_hint is not None and self.kind_hint not in KINDS:
-            raise InputError(f"unknown kind hint {self.kind_hint!r}")
-        if self.kind_hint == "dendriform":
-            if set(self.op_names()) != {"left", "right"}:
+        for op_name, op in ops:
+            if op.dim != dim:
+                raise InputError(f"operation {op_name!r} has wrong dimension")
+        if kind_hint is not None and kind_hint not in KINDS:
+            raise InputError(f"unknown kind hint {kind_hint!r}")
+        if kind_hint == "dendriform":
+            if {op_name for op_name, _ in ops} != {"left", "right"}:
                 raise InputError('dendriform algebras need ops "left" and "right"')
-        elif self.kind_hint is not None and len(self.ops) != 1:
-            raise InputError(f"kind {self.kind_hint!r} expects a single operation")
+        elif kind_hint is not None and len(ops) != 1:
+            raise InputError(f"kind {kind_hint!r} expects a single operation")
+        _set(self, "name", name)
+        _set(self, "dim", dim)
+        _set(self, "basis_names", basis_names)
+        _set(self, "ops", ops)
+        _set(self, "kind_hint", kind_hint)
 
     @staticmethod
     def build(name: str, basis_names, ops: dict[str, BilinearOp],
@@ -439,12 +452,16 @@ class Algebra:
         return Algebra.build(name, self.basis_names, ops, kind_hint)
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
+class AlgebraDocument(Value):
     """An algebra together with the named linear maps stored beside it."""
 
-    algebra: Algebra
-    maps: tuple[tuple[str, LinearMap], ...] = field(default_factory=tuple)
+    __slots__ = ("algebra", "maps")
+    _fields = __slots__
+
+    def __init__(self, algebra: Algebra,
+                 maps: tuple[tuple[str, LinearMap], ...] = ()) -> None:
+        _set(self, "algebra", algebra)
+        _set(self, "maps", maps)
 
     @staticmethod
     def build(algebra: Algebra, maps: dict[str, LinearMap] | None = None

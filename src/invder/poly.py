@@ -10,20 +10,24 @@ polynomial, with no sampling involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import Value, _set
 from .rational import ONE, Q
 
 Monomial = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """Polynomial as a map from exponent tuples to nonzero coefficients."""
 
-    nvars: int
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    __slots__ = ("nvars", "terms")
+    _fields = __slots__
+
+    def __init__(self, nvars: int,
+                 terms: tuple[tuple[Monomial, Fraction], ...]) -> None:
+        _set(self, "nvars", nvars)
+        _set(self, "terms", terms)
 
     @staticmethod
     def _normalise(nvars: int, raw: dict[Monomial, Fraction]) -> "Poly":

@@ -393,9 +393,9 @@ def dense_derivation_basis(ops, n: int) -> list:
     if not rows:
         return [tuple(Q(int(e == t)) for e in range(n * n))
                 for t in range(n * n)]
-    kernel = Matrix(len(rows), n * n,
-                    tuple(v for row in rows for v in row)).kernel_basis()
-    return [v.entries for v in kernel]
+    kernel, den = Matrix(len(rows), n * n,
+                         tuple(v for row in rows for v in row)).kernel()
+    return [tuple(Q(v, den) for v in k) for k in kernel]
 
 
 @st.composite

@@ -1,11 +1,16 @@
 """The package surface: lazily loaded names and what each command imports.
 
+No module of the package loads dataclasses, or inspect, which it pulls
+in: the value types are plain slotted classes, so a command does not pay
+for either at start-up.
+
 The fresh-interpreter tests run `sys.executable -W error` in a subprocess,
 so that nothing this test process already imported hides a load.
 """
 import importlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -14,6 +19,9 @@ import pytest
 import invder
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(invder.__file__)))
+
+# standard modules no command may load
+UNWANTED = ("dataclasses", "inspect")
 
 
 def fresh(code: str, *args: str) -> str:
@@ -57,6 +65,16 @@ class TestLazyNames:
                     "print([m for m in sys.modules if m.startswith('invder.')])")
         assert out == "[]\n"
 
+    def test_no_submodule_loads_dataclasses_or_inspect(self):
+        names = sorted(f"invder.{p.stem}" for p in
+                       pathlib.Path(invder.__file__).parent.glob("*.py")
+                       if p.stem != "__init__")
+        out = fresh("import importlib, sys\n"
+                    f"for name in {names!r}:\n"
+                    "    importlib.import_module(name)\n"
+                    f"print([m for m in {UNWANTED!r} if m in sys.modules])")
+        assert out == "[]\n"
+
     @pytest.mark.parametrize("route", [
         "import invder.catalog",
         "import importlib; importlib.import_module('invder.catalog')",
@@ -73,8 +91,8 @@ class TestLazyNames:
 
 
 # Each group runs its commands one after another in one fresh interpreter.
-# The modules a command must not load are checked after every command, so a
-# failure names the first command that loaded one.
+# The modules a command must not load, its group's and UNWANTED, are checked
+# after every command, so a failure names the first command that loaded one.
 PROBE = """
 import contextlib, io, json, sys
 from invder.cli import main
@@ -83,8 +101,10 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), \\
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    rows.append([code, sorted(m[7:] for m in sys.modules
-                              if m.startswith("invder."))])
+    rows.append([code, sorted(m[7:] if m.startswith("invder.") else m
+                              for m in sys.modules
+                              if m.startswith("invder.")
+                              or m in json.loads(sys.argv[2]))])
 print(json.dumps(rows))
 """
 
@@ -118,6 +138,12 @@ BOUNDARIES = {
         (["verify-theorem", "prop-3.6", "{a3}", "--operator",
           "identity"], 0),
     ]),
+    "catalog": ((), [
+        (["catalog", "--entry", "so3", "--verify"], 0),
+        (["suite", "--samples", "1"], 0),
+        (["search-counterexample", "--family", "random_nilpotent_tables",
+          "--max-dim", "4", "--samples", "4"], 0),
+    ]),
 }
 
 
@@ -127,7 +153,7 @@ def test_commands_load_only_the_modules_they_run(algebra_dir, group):
     argvs = [[a.format(**{e: str(algebra_dir / f"{e}.json")
                           for e in ("heisenberg3", "so3", "a3")})
               for a in argv] for argv, _ in commands]
-    rows = json.loads(fresh(PROBE, json.dumps(argvs)))
+    rows = json.loads(fresh(PROBE, json.dumps(argvs), json.dumps(UNWANTED)))
     for (argv, expected), (code, loaded) in zip(commands, rows):
         assert code == expected, argv
-        assert not set(forbidden) & set(loaded), (argv, loaded)
+        assert not set(forbidden + UNWANTED) & set(loaded), (argv, loaded)
