@@ -8,11 +8,15 @@ linear maps ("d" for delta, applied twice for its square, "R" and "lam"
 for a Rota-Baxter operator and its weight, "P" for an endomorphism).  One
 scan walks basis tuples in lexicographic order and reports the first
 violation as a witness carrying the offending indices and both evaluated
-sides.  A subterm on basis vectors alone, such as [y, z] or delta x, is
-read off the operation's index of basis products or the map's columns,
-so it costs no product at all; every other proper subterm is evaluated
-once per assignment of the variables it mentions, so delta [y, z] costs
-n^2 map applications per scan, not n^3.
+sides.  It walks one tuple per orbit of the row's symmetries: the swaps
+of two variables that take lhs - rhs, multiplied out, to plus or minus
+itself, as written or, when every operation of the row is skew, by the
+rule op(a, b) = -op(b, a).  Its first violation is the first of the walk
+over every tuple.  A subterm on basis vectors alone, such as [y, z] or
+delta x, is read off the operation's index of basis products or the
+map's columns, so it costs no product at all; every other proper subterm
+is evaluated once per assignment of the variables it mentions, so
+delta [y, z] costs n^2 map applications per scan, not n^3.
 Verdicts are computed from the structure constants themselves; a kind
 hint on the algebra is never trusted.  The Leibniz rule alone is decided
 by the sparse integer rows of BilinearOp.leibniz, and its row of the table
@@ -27,7 +31,7 @@ of the operation and refuses to run otherwise.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import combinations
 from operator import mul
 
 from .errors import InputError
@@ -86,18 +90,21 @@ class Identity:
     bundle names the group the row belongs to: a structure kind for its
     defining axioms, "invder-" plus the kind for the identities of a map
     twisting it.  Rows that are not axioms run through identity_report,
-    and the Leibniz rule through leibniz_witness.  An alternating
-    row needs only strictly increasing tuples when the table is skew; a
-    row that needs a derivation refuses maps that are not.  The arity and
-    the operations and maps a row names are read off its two sides.
+    and the Leibniz rule through leibniz_witness.  A row that needs a
+    derivation refuses maps that are not.  The arity and the operations
+    and maps a row names are read off its two sides, and so, when a scan
+    first needs them, are the symmetries of its residual lhs - rhs:
+    symmetries lists each pair (i, j), i < j, of variable positions whose
+    swap takes the residual to itself (sign 1) or to its negative (-1) on
+    any table, and skew_symmetries does the same once every operation of
+    the row obeys op(a, b) = -op(b, a).
     """
 
     def __init__(self, id: str, lhs: Term, rhs: Term,
                  bundle: str | None = None, *, axiom: bool = True,
-                 alternating: bool = False, needs_derivation: bool = False):
+                 needs_derivation: bool = False):
         self.id, self.lhs, self.rhs, self.bundle = id, lhs, rhs, bundle
-        self.axiom, self.alternating = axiom, alternating
-        self.needs_derivation = needs_derivation
+        self.axiom, self.needs_derivation = axiom, needs_derivation
         names = lhs.names | rhs.names
         self.arity = len(lhs.variables | rhs.variables)
         self.ops = frozenset(h for h, n in names if n == 2)
@@ -109,6 +116,20 @@ class Identity:
             found = _degrees(lhs, name) | _degrees(rhs, name)
             if len(found) == 1:
                 self.degrees[name] = min(found)
+
+    @cached_property
+    def residual(self) -> dict[tuple, int]:
+        """lhs - rhs as a formal sum of monomials (_monomials)."""
+        return _collect(_monomials(self.lhs).items(),
+                        ((m, -c) for m, c in _monomials(self.rhs).items()))
+
+    @cached_property
+    def symmetries(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        return _symmetries(self.residual, self.arity, False)
+
+    @cached_property
+    def skew_symmetries(self) -> tuple[tuple[tuple[int, int], int], ...]:
+        return _symmetries(self.residual, self.arity, True)
 
     @cached_property
     def plan(self) -> tuple[tuple, int, int]:
@@ -213,6 +234,76 @@ _STEP_CODE = {
 }
 
 
+def _monomials(t: Term) -> dict[tuple, int]:
+    """t as a formal sum: each monomial a nested tuple (head, *arguments),
+    a variable (name,), with its nonzero integer coefficient.  Sums inside
+    an operation or a map are multiplied out."""
+    if t.head in VARIABLES:
+        return {(t.head,): 1}
+    if t.head == "+":
+        return _collect(*(((m, c * k) for m, k in _monomials(a).items())
+                          for c, a in zip(t.coeffs, t.args)))
+    parts = [((t.head,), 1)]
+    for a in t.args:
+        parts = [(m + (n,), c * k) for m, c in parts
+                 for n, k in _monomials(a).items()]
+    return _collect(parts)
+
+
+def _collect(*sums) -> dict[tuple, int]:
+    """The monomials of the (monomial, coefficient) pairs of sums, with
+    their coefficients added up, and those that cancel left out."""
+    out: dict[tuple, int] = {}
+    for pairs in sums:
+        for m, c in pairs:
+            out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _renamed(m: tuple, swap: dict[str, str]) -> tuple:
+    if m[0] in VARIABLES:
+        return (swap.get(m[0], m[0]),)
+    return (m[0], *(_renamed(a, swap) for a in m[1:]))
+
+
+def _skew_normal(m: tuple, c: int) -> tuple[tuple, int]:
+    """m with the two arguments of every operation in order, by the rule
+    op(a, b) = -op(b, a), and c times the sign that puts them so."""
+    if m[0] in VARIABLES:
+        return m, c
+    args = []
+    for a in m[1:]:
+        a, c = _skew_normal(a, c)
+        args.append(a)
+    if len(args) == 2 and args[1] < args[0]:
+        args, c = args[::-1], -c
+    return (m[0], *args), c
+
+
+def _symmetries(residual: dict[tuple, int], arity: int,
+                skew: bool) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Each pair i < j of variable positions, in order, with 1 if swapping
+    the two variables takes the residual to itself and -1 if to its
+    negative (a residual that vanishes formally counts as the latter);
+    with skew, both sides are first brought to the skew normal form.
+    Pairs with neither are left out."""
+    def normal(pairs):
+        return _collect(_skew_normal(m, c) for m, c in pairs) if skew \
+            else _collect(pairs)
+
+    residual = normal(residual.items())
+    negated = {m: -c for m, c in residual.items()}
+    out = []
+    for i, j in combinations(range(arity), 2):
+        swap = {VARIABLES[i]: VARIABLES[j], VARIABLES[j]: VARIABLES[i]}
+        image = normal((_renamed(m, swap), c) for m, c in residual.items())
+        if image == negated:
+            out.append(((i, j), -1))
+        elif image == residual:
+            out.append(((i, j), 1))
+    return tuple(out)
+
+
 def _degrees(t: Term, name: str) -> set[int]:
     """The degrees in the map name of the summands of t."""
     if t.head in VARIABLES:
@@ -242,7 +333,7 @@ def _table() -> dict[str, Identity]:
         Identity("skew_symmetry", op(x, y), -op(y, x), "lie"),
         Identity("jacobi",
                  op(x, op(y, z)) + op(y, op(z, x)) + op(z, op(x, y)), zero,
-                 "lie", alternating=True),
+                 "lie"),
         Identity("associativity", op(op(x, y), z), op(x, op(y, z)),
                  "associative"),
         # the left associator is symmetric in its first two arguments
@@ -257,10 +348,9 @@ def _table() -> dict[str, Identity]:
         Identity("dendriform_3", right(x, right(y, z)),
                  right(left(x, y) + right(x, y), z), "dendriform"),
         Identity("commutativity", op(x, y), op(y, x)),
-        # for a skew op the cyclic sum is alternating, as the Jacobiator is
         Identity("invder_jacobi",
                  op(d(x), op(y, z)) + op(d(y), op(z, x))
-                 + op(d(z), op(x, y)), zero, "invder-lie", alternating=True),
+                 + op(d(z), op(x, y)), zero, "invder-lie"),
         Identity("invder_prelie", op(d(x), op(y, z)) - op(op(x, y), d(z)),
                  op(d(y), op(x, z)) - op(op(y, x), d(z)), "invder-prelie"),
         Identity("invder_assoc", op(d(x), op(y, z)), op(op(x, y), d(z)),
@@ -394,19 +484,50 @@ def _units(dim: int) -> tuple[dict[int, int], ...]:
     return tuple({i: 1} for i in range(dim))
 
 
+@cache
+def _orbit_walk(arity: int, symmetries: tuple):
+    """The walk, as a function of the dimension, over the basis tuples t
+    with t_i <= t_j for each pair (i, j) of positions the residual is
+    symmetric in and t_i < t_j for each it is antisymmetric in, in
+    lexicographic order: every tuple when there is no such pair.
+
+    Swapping such a pair keeps the set of failing tuples, and swapping one
+    out of order gives a lexicographically smaller tuple, so the first
+    failure of the walk over every tuple meets each bound; an
+    antisymmetric residual vanishes where the two indices are equal.  The
+    first failure of this walk is therefore that one.  The walk is nested
+    loops, one per position, each starting at the bounds of the positions
+    before it, compiled once and shared by the rows with these symmetries.
+    """
+    names = VARIABLES[:arity]
+    lines = ["def walk(n):"]
+    for j, name in enumerate(names):
+        lows = [names[i] + " + 1" if sign < 0 else names[i]
+                for (i, k), sign in symmetries if k == j]
+        low = "0" if not lows else lows[0] if len(lows) == 1 \
+            else f"max({', '.join(lows)})"
+        lines.append("    " * (j + 1) + f"for {name} in range({low}, n):")
+    lines.append("    " * (arity + 1) + f"yield {', '.join(names)},")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<walk {symmetries}>", "exec"), namespace)
+    return namespace["walk"]
+
+
 def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
-          maps: dict[str, LinearMap], alternating: bool = False,
-          tuples=None) -> Witness | None:
+          maps: dict[str, LinearMap], tuples=None) -> Witness | None:
     """First basis tuple where the row's sides differ, or None.
 
-    tuples, when given, replaces the walk over every basis tuple.  The
-    evaluation runs on the lean scalars of the sparse kernels (ints where
-    integral) through the row's compiled evaluate; the witness keeps both
-    sides so, and converts them to Fractions only where they are read.  A
-    map with a denominator that the row is homogeneous in, of degree k, is
-    replaced by its integral multiple: both sides are then den^k times the
-    true ones, so they differ on the same tuples, and the witness divides
-    them back when it converts them.  The steps that read
+    The walk is the orbit walk (_orbit_walk) of the row's symmetries, or
+    of its skew_symmetries when those are more and every operation the
+    row names is skew; tuples, when given, replaces it.  The witness of
+    the orbit walk is the first failure of the walk over every basis
+    tuple.  The evaluation runs on the lean scalars of the sparse kernels (ints
+    where integral) through the row's compiled evaluate; the witness keeps
+    both sides so, and converts them to Fractions only where they are
+    read.  A map with a denominator that the row is homogeneous in, of
+    degree k, is replaced by its integral multiple: both sides are then
+    den^k times the true ones, so they differ on the same tuples, and the
+    witness divides them back when it converts them.  The steps that read
     a basis product or a column return the dicts shared with the
     operation's index and the map's column cache, which no step mutates.
     """
@@ -417,8 +538,11 @@ def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
             maps = {**maps, name: maps[name].integral_multiple()}
             scale *= den ** degree
     if tuples is None:
-        tuples = combinations(range(dim), row.arity) if alternating \
-            else product(range(dim), repeat=row.arity)
+        symmetries = row.symmetries
+        if row.skew_symmetries != symmetries \
+                and all(ops[name].is_skew() for name in row.ops):
+            symmetries = row.skew_symmetries
+        tuples = _orbit_walk(row.arity, symmetries)(dim)
     found = row.evaluate(tuples, ops, maps, _units(dim))
     if found is None:
         return None
@@ -465,8 +589,7 @@ def run_axiom(alg: Algebra, axiom: str, op_name: str | None = None,
               delta: LinearMap | None = None) -> CheckReport:
     """Run one axiom row by identifier, on the operation op_name selects
     or, for a dendriform row, which takes no op_name, on the pair "left"
-    and "right".  An alternating row walks only strictly increasing tuples
-    on a skew operation, which the operation decides once for all its rows.
+    and "right".
     """
     row = IDENTITIES.get(axiom)
     if row is None or not row.axiom:
@@ -489,8 +612,7 @@ def run_axiom(alg: Algebra, axiom: str, op_name: str | None = None,
         raise InputError('dendriform checks need ops named "left" and "right"')
     if row.needs_derivation and leibniz_witness(ops["op"], delta) is not None:
         raise InputError(f"{axiom} requires delta to be a derivation")
-    alternating = row.alternating and ops["op"].is_skew()
-    witness = _scan(row, alg.dim, ops, maps, alternating)
+    witness = _scan(row, alg.dim, ops, maps)
     return CheckReport(axiom, witness is None, witness)
 
 

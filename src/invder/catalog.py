@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Callable
+from collections.abc import Callable
 
 from .axioms import (identity_report, invder_identity_axioms, kind_axioms,
                      kinds_satisfied, run_axiom)

@@ -20,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
 
 from .errors import (InputError, InvderError, NotInvDerError,
                      PreconditionError, SingularMatrixError)
@@ -28,9 +27,8 @@ from .model import (FAMILIES, Algebra, AlgebraDocument, LinearMap,
                     load_algebra, max_dimension, save_algebra)
 from .rational import parse_rational
 
-if TYPE_CHECKING:
-    from .axioms import CheckReport
-    from .constructions import ConstructionResult
+# the annotations, never evaluated, also name CheckReport and
+# ConstructionResult, which a command imports when it runs
 
 # each passage, named as its construction with "-" for "_", and the options
 # it reads, in the order the construction takes them ("map" is the carried

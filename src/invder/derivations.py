@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import random
 from math import lcm
-from typing import TYPE_CHECKING
 
 from .axioms import CheckReport, identity_report, leibniz_witness
 from .errors import (InputError, InvderError, NotInvDerError,
@@ -31,9 +30,6 @@ from .errors import (InputError, InvderError, NotInvDerError,
 from .linalg import Matrix, Value, Vector, _set, solve
 from .model import Algebra, BilinearOp, LinearMap
 from .rational import Q
-
-if TYPE_CHECKING:
-    from .poly import Poly
 
 VANISHING_DET = "generic determinant vanishes"
 

@@ -282,7 +282,7 @@ def _primitive(row: dict[int, int | Fraction]) -> IntRow | None:
 class LinearMap(Value):
     """Square matrix acting on the algebra, column j = image of basis j."""
 
-    __slots__ = ("matrix", "_cols", "_integral")
+    __slots__ = ("matrix", "_cols", "_integral", "_inverse")
     _fields = ("matrix",)
 
     def __init__(self, matrix: Matrix) -> None:
@@ -291,6 +291,7 @@ class LinearMap(Value):
         _set(self, "matrix", matrix)
         _set(self, "_cols", None)
         _set(self, "_integral", None)
+        _set(self, "_inverse", None)
 
     @property
     def dim(self) -> int:
@@ -365,7 +366,13 @@ class LinearMap(Value):
         return LinearMap(self.matrix.matmul(other.matrix))
 
     def inverse(self) -> "LinearMap":
-        return LinearMap(self.matrix.invert())
+        """The inverse map, computed once per map; SingularMatrixError,
+        on every call, for a singular one."""
+        m = self._inverse
+        if m is None:
+            m = LinearMap(self.matrix.invert())
+            _set(self, "_inverse", m)
+        return m
 
     def is_invertible(self) -> bool:
         return self.matrix.det() != 0

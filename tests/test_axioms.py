@@ -1,5 +1,6 @@
 """Axiom checkers: verdicts, witnesses, dispatch."""
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,7 @@ from invder import (AXIOM_IDS, DELTA_AXIOMS, Algebra, BilinearOp, LinearMap,
                     entry, identity_report, invder_identity_axioms,
                     is_invder, kind_axioms, kinds_satisfied, leibniz_witness,
                     run_axiom)
+from invder.axioms import IDENTITIES, _scan
 from invder.errors import InputError
 
 
@@ -198,10 +200,17 @@ class TestTable:
             return original(self, x, y)
 
         monkeypatch.setattr(BilinearOp, "mul_sparse", counted)
-        assert run_axiom(entry("abelian_3").algebra, "associativity").holds
+        op = entry("abelian_3").algebra.op()
+        assert _scan(IDENTITIES["associativity"], 3, {"op": op}, {},
+                     tuples=product(range(3), repeat=3)) is None
         # (x y) z and x (y z) once per triple; x y and y z are products of
         # basis vectors, read off the index with no product computed
         assert len(calls) == 2 * 27
+        calls.clear()
+        # the zero product is skew, so the orbit walk takes the 9 triples
+        # with x < z
+        assert run_axiom(entry("abelian_3").algebra, "associativity").holds
+        assert len(calls) == 2 * 9
 
     def test_proper_map_subterms_are_memoised(self, monkeypatch):
         calls = []
@@ -213,11 +222,16 @@ class TestTable:
 
         monkeypatch.setattr(LinearMap, "apply_sparse", counted)
         e = entry("heisenberg3")
-        assert run_axiom(e.algebra, "identity_25", None,
-                         e.document.map("delta_w")).holds
+        op, delta = e.algebra.op(), e.document.map("delta_w")
+        assert _scan(IDENTITIES["identity_25"], 3, {"op": op}, {"d": delta},
+                     tuples=product(range(3), repeat=3)) is None
         # d(op(y, z)), d(op(z, x)) and d(op(x, y)) once per pair each; the
         # images d(x), d(y), d(z) are columns, read with no product
         assert len(calls) == 3 * 9
+        calls.clear()
+        # on the skew bracket the orbit walk takes the one triple x < y < z
+        assert run_axiom(e.algebra, "identity_25", None, delta).holds
+        assert len(calls) == 3 * 1
 
     def test_lie_bundle_scans_skew_symmetry_once(self, monkeypatch):
         import invder.axioms as axioms

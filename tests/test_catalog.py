@@ -358,6 +358,8 @@ class TestOneVerdictPerMap:
 
         monkeypatch.setattr(Matrix, "invert",
                             counting("invert", Matrix.invert))
+        # a fresh catalog, whose maps hold no inverse from earlier calls
+        monkeypatch.setattr(catalog_module, "_CATALOG", None)
         for name in ("axioms", "derivations"):
             module = importlib.import_module(f"invder.{name}")
             monkeypatch.setattr(module, "leibniz_witness", counting(
@@ -366,14 +368,17 @@ class TestOneVerdictPerMap:
         twisted = [name for name in verdicts if name.endswith(".twist")]
         assert len(twisted) == report.accepted_pairs
         assert len(verdicts) == 70
-        # one inversion per verdict; every Leibniz scan is a verdict's own
-        # but the 11 of the forced twists of the stored non-InvDer maps
-        assert calls == {"invert": 70, "leibniz": 158}
+        # one inversion per map: the 23 verdicts on a twisted side reuse
+        # the inverse of their source's verdict; every Leibniz scan is a
+        # verdict's own but the 11 of the forced twists of the stored
+        # non-InvDer maps
+        assert calls == {"invert": 47, "leibniz": 158}
 
 
 def test_hunt_scans_skew_symmetry_once_per_table_and_twist(monkeypatch):
-    """The hunt's alternating rows read skew symmetry off the operation;
-    the row is scanned by each table's Lie bundle and each forced twist."""
+    """The hunt's rows that gain symmetries on a skew table read skew
+    symmetry off the operation; the skew_symmetry row is scanned by each
+    table's Lie bundle and each forced twist."""
     import invder.axioms as axioms
     scanned, scan = [], axioms._scan
 
@@ -403,4 +408,4 @@ def test_hunt_decides_the_leibniz_rule_by_rows(monkeypatch):
     report = counterexample_search(SearchConfig(
         "random_nilpotent_tables", max_dim=4, max_samples=8, seed=1))
     assert report.candidates_found == 73
-    assert len(calls) == 1886
+    assert len(calls) == 1419

@@ -6,16 +6,17 @@ numerators over one denominator, rref, det and invert eliminate
 fraction-free on integer rows, the Leibniz rule is decided by the sparse
 integer rows of BilinearOp.leibniz on a map's numerators, the scan runs a
 row compiled once, reads products of basis vectors and their images off
-shared tables, and it walks only increasing tuples for the alternating
-rows.  Each is compared here with a plain computation written
-out in this file (dense Fractions, the square rows by their definition with
-the matrix square of delta, the full scan of the leibniz row, the dense
-Leibniz system, the walk over every tuple), on tables, maps and matrices
-with zero rows and columns and with non-integral entries, and every public
-value is checked to be a Fraction.
+shared tables, and it walks one basis tuple per orbit of the symmetries
+each row derives from its sides.  Each is compared here with a plain
+computation written out in this file (dense Fractions, the square rows by
+their definition with the matrix square of delta, the full scan of the
+leibniz row, the dense Leibniz system, the walk over every tuple), on
+tables, maps and matrices with zero rows and columns and with
+non-integral entries, and every public value is checked to be a
+Fraction.
 """
 from fractions import Fraction as Q
-from itertools import combinations, product
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -25,8 +26,8 @@ from hypothesis import strategies as st
 from invder import (FAMILIES, Algebra, BilinearOp, LinearMap, SearchConfig,
                     catalog, derivation_space, entry, identity_report,
                     is_derivation, is_invder, run_axiom)
-from invder.axioms import (BUNDLES, IDENTITIES, VARIABLES, _scan,
-                           leibniz_witness)
+from invder.axioms import (BUNDLES, IDENTITIES, VARIABLES, _orbit_walk,
+                           _scan, leibniz_witness)
 from invder.catalog import _family_algebras
 from invder.errors import SingularMatrixError
 from invder.linalg import Matrix
@@ -105,14 +106,12 @@ def ref_eval(term, ops, maps, units):
     return ref_mul(ops[term.head], *args)
 
 
-def ref_witness(identity: str, ops: dict, maps: dict, alternating=False):
-    """First basis tuple where the row fails, by dense Fraction evaluation;
-    alternating walks the strictly increasing tuples only."""
+def ref_witness(identity: str, ops: dict, maps: dict):
+    """First basis tuple where the row fails, by dense Fraction evaluation
+    over every basis tuple."""
     row = IDENTITIES[identity]
     n = next(iter(ops.values())).dim
-    tuples = combinations(range(n), row.arity) if alternating \
-        else product(range(n), repeat=row.arity)
-    for t in tuples:
+    for t in product(range(n), repeat=row.arity):
         units = {v: [Q(int(k == i)) for k in range(n)]
                  for v, i in zip(VARIABLES, t)}
         lhs = ref_eval(row.lhs, ops, maps, units)
@@ -620,11 +619,11 @@ class TestScanLookups:
         alg = Algebra.build("t", [f"e{i}" for i in range(op.dim)], {"m": op})
         assert run_axiom(alg, "skew_symmetry").holds
         got = run_axiom(alg, "jacobi").witness
-        want = ref_witness("jacobi", {"op": op}, {}, alternating=True)
+        want = ref_witness("jacobi", {"op": op}, {})
         assert as_tuple(got) == want
         # on a skew table the first failing tuple of the full walk is
-        # increasing, so the alternating walk misses no failure
-        assert want == ref_witness("jacobi", {"op": op}, {})
+        # strictly increasing, the only tuples the orbit walk takes
+        assert want is None or list(want[0]) == sorted(set(want[0]))
         assert_caches_untouched([op], [])
 
     @settings(max_examples=200, deadline=None, derandomize=True,
@@ -640,7 +639,7 @@ class TestScanLookups:
         assert run_axiom(alg, "skew_symmetry").holds
         got = run_axiom(alg, "invder_jacobi", None, delta).witness
         want = _scan(IDENTITIES["invder_jacobi"], op.dim, {"op": op},
-                     {"d": delta})
+                     {"d": delta}, tuples=product(range(op.dim), repeat=3))
         assert got == want
         assert as_dict(got) == as_dict(want)
         assert_caches_untouched([op], [delta])
@@ -717,6 +716,86 @@ class TestSkewSymmetry:
         assert op.is_skew() == holds
         assert skew is None or holds == skew
         assert_caches_untouched([op], [])
+
+
+# the symmetries each row derives from its sides, on any table and on
+# skew tables: the pairs of variables whose swap takes lhs - rhs to itself
+# (1) or to its negative (-1)
+ROW_SYMMETRIES = {
+    "skew_symmetry": ({"xy": 1}, {"xy": -1}),
+    "jacobi": ({}, {"xy": -1, "xz": -1, "yz": -1}),
+    "associativity": ({}, {"xz": -1}),
+    "pre_lie": ({"xy": -1}, {"xy": -1}),
+    "zinbiel": ({}, {"yz": -1}),
+    "dendriform_1": ({}, {}),
+    "dendriform_2": ({}, {}),
+    "dendriform_3": ({}, {}),
+    "commutativity": ({"xy": -1}, {"xy": -1}),
+    "invder_jacobi": ({}, {"xy": -1, "xz": -1, "yz": -1}),
+    "invder_prelie": ({"xy": -1}, {"xy": -1}),
+    "invder_assoc": ({}, {"xz": -1}),
+    "invder_zinbiel": ({}, {"yz": -1}),
+    "zinbiel_aux_44": ({"xz": -1}, {"xz": -1}),
+    "zinbiel_aux_45": ({"yz": -1}, {"yz": -1}),
+    "invder_dend_47": ({}, {}),
+    "invder_dend_48": ({}, {}),
+    "invder_dend_49": ({}, {}),
+    "identity_25": ({}, {"xy": -1, "xz": -1, "yz": -1}),
+    "leibniz": ({}, {"xy": -1}),
+    "squared_leibniz": ({}, {"xy": -1}),
+    "square_condition": ({}, {"xy": -1}),
+    "rota_baxter": ({}, {"xy": -1}),
+    "multiplicative": ({}, {"xy": -1}),
+}
+
+
+def meets(t: tuple, symmetries: tuple) -> bool:
+    """Whether t has t_i < t_j for each antisymmetric pair and t_i <= t_j
+    for each symmetric one."""
+    return all(t[i] < t[j] if sign < 0 else t[i] <= t[j]
+               for (i, j), sign in symmetries)
+
+
+class TestOrbitWalk:
+    def test_rows_derive_the_pinned_symmetries(self):
+        def named(symmetries):
+            return {VARIABLES[i] + VARIABLES[j]: sign
+                    for (i, j), sign in symmetries}
+
+        assert {row.id: (named(row.symmetries), named(row.skew_symmetries))
+                for row in IDENTITIES.values()} == ROW_SYMMETRIES
+
+    @pytest.mark.parametrize("dim", range(5))
+    def test_walk_is_the_ordered_tuples_meeting_the_bounds(self, dim):
+        for row in IDENTITIES.values():
+            for symmetries in (row.symmetries, row.skew_symmetries):
+                assert list(_orbit_walk(row.arity, symmetries)(dim)) == [
+                    t for t in product(range(dim), repeat=row.arity)
+                    if meets(t, symmetries)]
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(sorted(IDENTITIES)), st.data())
+    def test_witness_is_the_first_failure_of_the_full_walk(self, identity,
+                                                           data):
+        row = IDENTITIES[identity]
+        n = data.draw(st.integers(1, 4))
+        skew = data.draw(st.booleans())
+        ops = {name: data.draw(sparse_tables_of(n, skew=skew))
+               for name in sorted(row.ops)}
+        # arbitrary maps, derivations, and derivations with one entry
+        # changed, of the first operation
+        d = data.draw(leibniz_candidates(ops[min(ops)]))
+        maps = {"d": d, "R": d, "P": d,
+                "lam": LinearMap.identity(n).scale(Q(1, 2))}
+        maps = {k: v for k, v in maps.items() if k in row.maps}
+        want = ref_witness(identity, ops, maps)
+        assert as_tuple(_scan(row, n, ops, maps)) == want
+        # the first failure of the full walk lies on the orbit walk
+        symmetries = row.skew_symmetries \
+            if all(op.is_skew() for op in ops.values()) else row.symmetries
+        assert want is None or meets(want[0], symmetries)
+        assert_caches_untouched(ops.values(), maps.values())
 
 
 class TestMirroredCompositions:

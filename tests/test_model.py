@@ -108,6 +108,25 @@ class TestLinearMap:
         with pytest.raises(SingularMatrixError):
             LinearMap.zero(3).inverse()
 
+    def test_inverse_is_computed_once_per_map(self, monkeypatch):
+        calls = []
+        original = Matrix.invert
+
+        def counted(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(Matrix, "invert", counted)
+        m = LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]])
+        assert m.inverse() is m.inverse()
+        assert LinearMap(m.matrix).inverse() == m.inverse()
+        assert len(calls) == 2
+        zero = LinearMap.zero(3)
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                zero.inverse()
+        assert len(calls) == 4
+
     def test_commutes_with(self):
         a = LinearMap.diagonal([1, 2])
         b = LinearMap.diagonal([5, 7])

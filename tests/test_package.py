@@ -4,6 +4,10 @@ No module of the package loads dataclasses, or inspect, which it pulls
 in: the value types are plain slotted classes, so a command does not pay
 for either at start-up.
 
+Nor does any command load typing.  A site .pth file may load it before
+the package does, so that check runs the commands under `python -S`,
+with no site module.
+
 The fresh-interpreter tests run `sys.executable -W error` in a subprocess,
 so that nothing this test process already imported hides a load.
 """
@@ -24,11 +28,13 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(invder.__file__)))
 UNWANTED = ("dataclasses", "inspect")
 
 
-def fresh(code: str, *args: str) -> str:
-    """Stdout of `code` run in a new interpreter that imports this invder."""
+def fresh(code: str, *args: str, site: bool = True) -> str:
+    """Stdout of `code` run in a new interpreter that imports this invder;
+    with site=False the interpreter runs with -S."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", code, *args],
+    flags = ["-W", "error"] + ([] if site else ["-S"])
+    proc = subprocess.run([sys.executable, *flags, "-c", code, *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -147,13 +153,27 @@ BOUNDARIES = {
 }
 
 
+def argvs_of(commands, algebra_dir) -> str:
+    return json.dumps([[a.format(**{e: str(algebra_dir / f"{e}.json")
+                                    for e in ("heisenberg3", "so3", "a3")})
+                        for a in argv] for argv, _ in commands])
+
+
 @pytest.mark.parametrize("group", list(BOUNDARIES))
 def test_commands_load_only_the_modules_they_run(algebra_dir, group):
     forbidden, commands = BOUNDARIES[group]
-    argvs = [[a.format(**{e: str(algebra_dir / f"{e}.json")
-                          for e in ("heisenberg3", "so3", "a3")})
-              for a in argv] for argv, _ in commands]
-    rows = json.loads(fresh(PROBE, json.dumps(argvs), json.dumps(UNWANTED)))
+    rows = json.loads(fresh(PROBE, argvs_of(commands, algebra_dir),
+                            json.dumps(UNWANTED)))
     for (argv, expected), (code, loaded) in zip(commands, rows):
         assert code == expected, argv
         assert not set(forbidden + UNWANTED) & set(loaded), (argv, loaded)
+
+
+@pytest.mark.parametrize("group", list(BOUNDARIES))
+def test_commands_load_no_typing_without_site(algebra_dir, group):
+    _, commands = BOUNDARIES[group]
+    rows = json.loads(fresh(PROBE, argvs_of(commands, algebra_dir),
+                            json.dumps(["typing"]), site=False))
+    for (argv, expected), (code, loaded) in zip(commands, rows):
+        assert code == expected, argv
+        assert "typing" not in loaded, argv
