@@ -31,7 +31,7 @@ of the operation and refuses to run otherwise.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 
 from .errors import InputError
@@ -93,11 +93,11 @@ class Identity:
     and the Leibniz rule through leibniz_witness.  A row that needs a
     derivation refuses maps that are not.  The arity and the operations
     and maps a row names are read off its two sides, and so, when a scan
-    first needs them, are the symmetries of its residual lhs - rhs:
-    symmetries lists each pair (i, j), i < j, of variable positions whose
-    swap takes the residual to itself (sign 1) or to its negative (-1) on
-    any table, and skew_symmetries does the same once every operation of
-    the row obeys op(a, b) = -op(b, a).
+    first needs them, are its degrees in the maps and the symmetries of
+    its residual lhs - rhs: symmetries lists each pair (i, j), i < j, of
+    variable positions whose swap takes the residual to itself (sign 1)
+    or to its negative (-1) on any table, and skew_symmetries does the
+    same once every operation of the row obeys op(a, b) = -op(b, a).
     """
 
     def __init__(self, id: str, lhs: Term, rhs: Term,
@@ -109,13 +109,18 @@ class Identity:
         self.arity = len(lhs.variables | rhs.variables)
         self.ops = frozenset(h for h, n in names if n == 2)
         self.maps = frozenset(h for h, n in names if n == 1)
-        # the maps whose every summand, on both sides, has one degree in
-        # them, and that degree
-        self.degrees = {}
+
+    @cached_property
+    def degrees(self) -> dict[str, int]:
+        """The maps whose every monomial, on both sides multiplied out, has
+        one degree in them, with that degree."""
+        out = {}
         for name in self.maps:
-            found = _degrees(lhs, name) | _degrees(rhs, name)
+            found = {_degree(m, name) for side in (self.lhs, self.rhs)
+                     for m in _monomials(side)}
             if len(found) == 1:
-                self.degrees[name] = min(found)
+                out[name] = found.pop()
+        return out
 
     @cached_property
     def residual(self) -> dict[tuple, int]:
@@ -304,16 +309,11 @@ def _symmetries(residual: dict[tuple, int], arity: int,
     return tuple(out)
 
 
-def _degrees(t: Term, name: str) -> set[int]:
-    """The degrees in the map name of the summands of t."""
-    if t.head in VARIABLES:
-        return {0}
-    if t.head == "+":
-        return set().union(*(_degrees(a, name) for a in t.args))
-    out = {int(t.head == name)}
-    for a in t.args:
-        out = {d + e for d in out for e in _degrees(a, name)}
-    return out
+def _degree(m: tuple, name: str) -> int:
+    """The degree in the map name of the monomial m (_monomials)."""
+    if m[0] in VARIABLES:
+        return 0
+    return (m[0] == name) + sum(_degree(a, name) for a in m[1:])
 
 
 def _table() -> dict[str, Identity]:
@@ -485,50 +485,40 @@ def _units(dim: int) -> tuple[dict[int, int], ...]:
 
 
 @cache
-def _orbit_walk(arity: int, symmetries: tuple):
-    """The walk, as a function of the dimension, over the basis tuples t
-    with t_i <= t_j for each pair (i, j) of positions the residual is
-    symmetric in and t_i < t_j for each it is antisymmetric in, in
-    lexicographic order: every tuple when there is no such pair.
+def _orbit_walk(arity: int, symmetries: tuple, dim: int) -> tuple:
+    """The basis tuples t of the dimension with t_i <= t_j for each pair
+    (i, j) of positions the residual is symmetric in and t_i < t_j for
+    each it is antisymmetric in, in lexicographic order: every tuple when
+    there is no such pair.  Built once, and shared by the rows with these
+    symmetries.
 
     Swapping such a pair keeps the set of failing tuples, and swapping one
     out of order gives a lexicographically smaller tuple, so the first
     failure of the walk over every tuple meets each bound; an
     antisymmetric residual vanishes where the two indices are equal.  The
-    first failure of this walk is therefore that one.  The walk is nested
-    loops, one per position, each starting at the bounds of the positions
-    before it, compiled once and shared by the rows with these symmetries.
+    first failure of this walk is therefore that one.
     """
-    names = VARIABLES[:arity]
-    lines = ["def walk(n):"]
-    for j, name in enumerate(names):
-        lows = [names[i] + " + 1" if sign < 0 else names[i]
-                for (i, k), sign in symmetries if k == j]
-        low = "0" if not lows else lows[0] if len(lows) == 1 \
-            else f"max({', '.join(lows)})"
-        lines.append("    " * (j + 1) + f"for {name} in range({low}, n):")
-    lines.append("    " * (arity + 1) + f"yield {', '.join(names)},")
-    namespace: dict = {}
-    exec(compile("\n".join(lines), f"<walk {symmetries}>", "exec"), namespace)
-    return namespace["walk"]
+    return tuple(t for t in product(range(dim), repeat=arity)
+                 if all(t[i] < t[j] if sign < 0 else t[i] <= t[j]
+                        for (i, j), sign in symmetries))
 
 
 def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
           maps: dict[str, LinearMap], tuples=None) -> Witness | None:
     """First basis tuple where the row's sides differ, or None.
 
-    The walk is the orbit walk (_orbit_walk) of the row's symmetries, or
-    of its skew_symmetries when those are more and every operation the
-    row names is skew; tuples, when given, replaces it.  The witness of
-    the orbit walk is the first failure of the walk over every basis
-    tuple.  The evaluation runs on the lean scalars of the sparse kernels (ints
-    where integral) through the row's compiled evaluate; the witness keeps
-    both sides so, and converts them to Fractions only where they are
-    read.  A map with a denominator that the row is homogeneous in, of
-    degree k, is replaced by its integral multiple: both sides are then
-    den^k times the true ones, so they differ on the same tuples, and the
-    witness divides them back when it converts them.  The steps that read
-    a basis product or a column return the dicts shared with the
+    The walk is the cached tuple list of the orbit walk (_orbit_walk) of
+    the row's skew_symmetries when every operation the row names is skew,
+    and of its symmetries otherwise; tuples, when given, replaces it.  The
+    witness of the orbit walk is the first failure of the walk over every
+    basis tuple.  The evaluation runs on the lean scalars of the sparse
+    kernels (ints where integral) through the row's compiled evaluate; the
+    witness keeps both sides so, and converts them to Fractions only where
+    they are read.  A map with a denominator that the row is homogeneous
+    in, of degree k, is replaced by its integral multiple: both sides are
+    then den^k times the true ones, so they differ on the same tuples, and
+    the witness divides them back when it converts them.  The steps that
+    read a basis product or a column return the dicts shared with the
     operation's index and the map's column cache, which no step mutates.
     """
     scale = 1
@@ -538,11 +528,8 @@ def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
             maps = {**maps, name: maps[name].integral_multiple()}
             scale *= den ** degree
     if tuples is None:
-        symmetries = row.symmetries
-        if row.skew_symmetries != symmetries \
-                and all(ops[name].is_skew() for name in row.ops):
-            symmetries = row.skew_symmetries
-        tuples = _orbit_walk(row.arity, symmetries)(dim)
+        tuples = _orbit_walk(row.arity, row.skew_symmetries if all(
+            ops[name].is_skew() for name in row.ops) else row.symmetries, dim)
     found = row.evaluate(tuples, ops, maps, _units(dim))
     if found is None:
         return None

@@ -595,13 +595,14 @@ def counterexample_search(config: SearchConfig) -> SearchReport:
     An empty findings list is a bounds report, never a nonexistence proof.
 
     No twist is built for most candidates.  For a derivation delta of a
-    Lie bracket, the Jacobiator of the twist delta[x, y] is delta applied
-    to the cyclic sum of [delta x, [y, z]], the invder_jacobi identity on
-    the source; so for an invertible delta the twist is Lie exactly when
-    delta satisfies invder_jacobi.  The twist keeps skew symmetry, which
-    the source is checked for first.  Only a candidate failing
-    invder_jacobi is twisted, for the witness on the twisted algebra, and
-    a twist of one that then reports no failure raises InvderError.
+    Lie bracket, the Jacobiator of the twist delta[x, y] is minus delta
+    applied to the cyclic sum of [delta x, [y, z]], the invder_jacobi
+    identity on the source; so for an invertible delta the twist is Lie
+    exactly when delta satisfies invder_jacobi.  The twist keeps skew
+    symmetry, which the source is checked for first.  Only a candidate
+    failing invder_jacobi is twisted, for the witness on the twisted
+    algebra, and a twist of one that then reports no failure raises
+    InvderError.
     """
     config.validate()
     algebras, rejected = _family_algebras(config)

@@ -2,6 +2,7 @@
 import importlib
 import random
 from fractions import Fraction as Q
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -285,6 +286,35 @@ class TestTwistLemma:
         alg, delta = pair
         assert run_axiom(alg, "invder_jacobi", None, delta).holds \
             == twist_is_lie(alg, delta)
+
+    def test_jacobiator_of_the_twist_is_minus_delta_of_the_cyclic_sum(self):
+        # sum_cyc delta[x, delta[y, z]] = -delta(sum_cyc [delta x, [y, z]])
+        # on every basis triple, for seeded derivations of the hunt's tables
+        def add(parts):
+            out = {}
+            for part in parts:
+                for k, v in part.items():
+                    out[k] = out.get(k, 0) + v
+            return {k: v for k, v in out.items() if v}
+
+        nonzero = 0
+        for alg in HUNT_TABLES_6:
+            mul, n = alg.op().mul_sparse, alg.dim
+            units = [{i: 1} for i in range(n)]
+            rng = random.Random(f"lemma:{alg.name}")
+            for _, delta in derivation_space(alg).draws(rng, 3, 3):
+                d = delta.apply_sparse
+                for i, j, k in combinations(range(n), 3):
+                    cyclic = ((i, j, k), (j, k, i), (k, i, j))
+                    jacobiator = add(d(mul(units[a], d(mul(units[b],
+                                                           units[c]))))
+                                     for a, b, c in cyclic)
+                    total = add(mul(delta.column_sparse(a),
+                                    mul(units[b], units[c]))
+                                for a, b, c in cyclic)
+                    assert jacobiator == {e: -v for e, v in d(total).items()}
+                    nonzero += bool(total)
+        assert nonzero > 0
 
     def test_hunt_twists_only_its_findings(self, monkeypatch):
         calls = []

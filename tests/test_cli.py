@@ -1,4 +1,5 @@
 """Command line interface: exit codes, output contract, file round trips."""
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction as Q
 import pytest
 
 from invder import load_algebra
-from invder.cli import PASSAGES, main
+from invder.cli import PASSAGES, build_parser, main
 
 
 def run(capsys, *argv):
@@ -726,3 +727,122 @@ class TestSubprocess:
             finally:
                 os.close(write_end)
             assert proc.returncode == 2, extra
+
+
+# the shape of every subcommand of build_parser(), in order: its help, and
+# each argument's positional name or option strings, nargs, required,
+# default, choices, type name and help.  Unlike the --help bytes, whose
+# layout is argparse's, this does not depend on the Python version.
+FILE = ("file", None, True, None, None, None, "algebra file (JSON)")
+JSON = ("--json", 0, False, False, None, None,
+        "emit a JSON report instead of plain text")
+
+
+def one_of(choices):
+    return "one of: " + ", ".join(choices)
+
+
+def seeded(samples):
+    return [("--seed", None, False, 0, None, "int", "random seed"),
+            ("--samples", None, False, samples, None, "int",
+             "sampling budget")]
+
+
+RANGE = ("--range", None, False, 3, None, "int",
+         "coefficient range for sampled combinations")
+PASSAGE_NAMES = (
+    "commutator-lie", "rb-prelie-from-lie", "rb-prelie-from-assoc",
+    "endo-lie-from-assoc", "zinbiel-to-assoc", "zinbiel-to-lie",
+    "dendriform-to-zinbiel", "dendriform-to-assoc", "dendriform-to-prelie")
+STATEMENTS = (
+    "thm-2.1", "thm-2.2", "prop-2.1", "prop-2.2", "prop-2.3", "thm-3.4",
+    "prop-3.4", "prop-3.5", "prop-3.6", "thm-3-rbo", "thm-4.2", "prop-4.3",
+    "prop-4.4-4.5", "thm-4-zinbiel-lie", "thm-4-dendriform", "thm-yau",
+    "cor-yau")
+FAMILY_NAMES = ("abelian", "heisenberg_like", "filiform", "solvable",
+                "random_nilpotent_tables")
+
+
+def option(names, help_, required=False):
+    return (names, None, required, None, None, None, help_)
+
+
+def flag(names, help_):
+    return (names, 0, False, False, None, None, help_)
+
+
+PARSER_SHAPE = [
+    ("check", "run axiom checks against an algebra file", [
+        FILE, JSON,
+        option("--op", "operation name (single-op algebras may omit it)"),
+        option("--axiom", "axiom identifier or bundle name (default: the "
+                          "file's kind bundle)"),
+        option("--map", "stored map for the identities that take one")]),
+    ("derivations", "compute the derivation space", [
+        FILE, JSON, option("--op", "restrict to one operation")]),
+    ("invder", "report the four verdict flags for a stored map", [
+        FILE, JSON, option("--map", "stored map to test", required=True),
+        option("--op", "restrict to one operation")]),
+    ("invder-search", "search the derivation space for an accepted map", [
+        FILE, JSON, option("--op", "restrict to one operation"),
+        *seeded(400), RANGE]),
+    ("twist", "twist the product by a stored map and verify", [
+        FILE, JSON, option("--map", "stored map to twist by", required=True),
+        option("--op", "operation name for multi-op files"),
+        flag("--force", "twist even when the map is not accepted"),
+        option("-o --output", "write the twisted algebra to FILE")]),
+    ("transform", "apply a passage between structure kinds", [
+        JSON,
+        ("name", None, True, None, PASSAGE_NAMES, None,
+         one_of(PASSAGE_NAMES)),
+        FILE, option("--op", "operation name for multi-op files"),
+        option("--map", "carried map, verified on the result"),
+        option("--operator", "stored map used as the Rota-Baxter operator "
+                             "or endomorphism"),
+        flag("--force", "skip the source axiom gate (zinbiel and "
+                        "dendriform passages)"),
+        option("-o --output", "write the constructed algebra to FILE")]),
+    ("rota-baxter", "check the Rota-Baxter identity for a stored map", [
+        FILE, JSON, option("--map", "stored map to test", required=True),
+        option("--op", "operation name for multi-op files"),
+        ("--weight", None, False, "0", None, None,
+         "weight as a rational (default 0)")]),
+    ("verify-theorem", "verify one named statement on a concrete instance", [
+        JSON,
+        ("name", None, True, None, STATEMENTS, None, one_of(STATEMENTS)),
+        FILE, option("--op", "operation name for multi-op files"),
+        option("--map", "stored map the statement quantifies over"),
+        option("--operator", "stored map used as the operator"),
+        flag("--force", "run the construction even when a gate fails")]),
+    ("suite", "run the randomized property suite over the catalog", [
+        JSON, *seeded(100)]),
+    ("search-counterexample", "hunt for twists that break Jacobi when the "
+                              "inverse is not a derivation", [
+        JSON,
+        ("--family", None, True, None, FAMILY_NAMES, None,
+         one_of(FAMILY_NAMES)),
+        ("--max-dim", None, False, 4, None, "int",
+         "largest dimension to generate"),
+        *seeded(200), RANGE,
+        ("--tables-per-dim", None, False, 10, None, "int",
+         "random tables kept per dimension")]),
+    ("catalog", "list, dump, or re-verify the built-in examples", [
+        JSON, option("--entry", "restrict to one entry id"),
+        option("--dump", "write each entry to DIR as an algebra file"),
+        flag("--verify", "re-derive and compare every recorded fact")]),
+]
+
+
+def test_parser_shape_is_pinned():
+    parser = build_parser()
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    shape = [
+        (name, helps[name], [
+            (" ".join(a.option_strings) or a.dest, a.nargs, a.required,
+             a.default, None if a.choices is None else tuple(a.choices),
+             a.type and a.type.__name__, a.help)
+            for a in sp._actions if not isinstance(a, argparse._HelpAction)])
+        for name, sp in sub.choices.items()]
+    assert shape == PARSER_SHAPE

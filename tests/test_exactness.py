@@ -16,8 +16,8 @@ non-integral entries, and every public value is checked to be a
 Fraction.
 """
 from fractions import Fraction as Q
-from itertools import product
-from math import gcd, lcm
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -748,6 +748,23 @@ ROW_SYMMETRIES = {
     "multiplicative": ({}, {"xy": -1}),
 }
 
+# each row's degree in every map it is homogeneous in, which the scan
+# scales a map with a denominator by
+ROW_DEGREES = {
+    "skew_symmetry": {}, "jacobi": {}, "associativity": {}, "pre_lie": {},
+    "zinbiel": {}, "dendriform_1": {}, "dendriform_2": {},
+    "dendriform_3": {}, "commutativity": {},
+    "invder_jacobi": {"d": 1}, "invder_prelie": {"d": 1},
+    "invder_assoc": {"d": 1}, "invder_zinbiel": {"d": 1},
+    "zinbiel_aux_44": {"d": 1}, "zinbiel_aux_45": {"d": 1},
+    "invder_dend_47": {"d": 1}, "invder_dend_48": {"d": 1},
+    "invder_dend_49": {"d": 1}, "identity_25": {"d": 1},
+    "leibniz": {"d": 1}, "squared_leibniz": {"d": 2},
+    "square_condition": {"d": 2},
+    # R and lam appear in summands of different degrees, as P does
+    "rota_baxter": {}, "multiplicative": {},
+}
+
 
 def meets(t: tuple, symmetries: tuple) -> bool:
     """Whether t has t_i < t_j for each antisymmetric pair and t_i <= t_j
@@ -765,13 +782,35 @@ class TestOrbitWalk:
         assert {row.id: (named(row.symmetries), named(row.skew_symmetries))
                 for row in IDENTITIES.values()} == ROW_SYMMETRIES
 
-    @pytest.mark.parametrize("dim", range(5))
-    def test_walk_is_the_ordered_tuples_meeting_the_bounds(self, dim):
-        for row in IDENTITIES.values():
-            for symmetries in (row.symmetries, row.skew_symmetries):
-                assert list(_orbit_walk(row.arity, symmetries)(dim)) == [
-                    t for t in product(range(dim), repeat=row.arity)
-                    if meets(t, symmetries)]
+    def test_rows_derive_the_pinned_degrees(self):
+        assert {row.id: row.degrees
+                for row in IDENTITIES.values()} == ROW_DEGREES
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_walk_is_the_ordered_tuples_meeting_the_bounds(self, n):
+        # each pinned symmetry pattern against a closed form of its own
+        basis = range(n)
+        for identity, pinned in ROW_SYMMETRIES.items():
+            row = IDENTITIES[identity]
+            for symmetries, named in zip(
+                    (row.symmetries, row.skew_symmetries), pinned):
+                walk = list(_orbit_walk(row.arity, symmetries, n))
+                if not named:
+                    assert walk == list(product(basis, repeat=row.arity))
+                elif named == {"xy": 1}:
+                    assert walk == list(
+                        combinations_with_replacement(basis, 2))
+                elif len(named) == row.arity * (row.arity - 1) // 2:
+                    # antisymmetric in every pair
+                    assert set(named.values()) == {-1}
+                    assert walk == list(combinations(basis, row.arity))
+                else:
+                    # one antisymmetric pair of three variables
+                    (pair, sign), = named.items()
+                    i, j = (VARIABLES.index(v) for v in pair)
+                    assert sign == -1 and all(t[i] < t[j] for t in walk)
+                    assert walk == sorted(set(walk))
+                    assert len(walk) == n * comb(n, 2)
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
