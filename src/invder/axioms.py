@@ -18,9 +18,10 @@ map's columns, so it costs no product at all; every other proper subterm
 is evaluated once per assignment of the variables it mentions, so
 delta [y, z] costs n^2 map applications per scan, not n^3.
 Verdicts are computed from the structure constants themselves; a kind
-hint on the algebra is never trusted.  The Leibniz rule alone is decided
-by the sparse integer rows of BilinearOp.leibniz, and its row of the table
-only builds the witness, on the first pair those rows reject.
+hint on the algebra is never trusted.  The Leibniz rule is decided by its
+row compiled into integer rows over the map's entries (Identity.linear_rows,
+BilinearOp.leibniz); its scan only builds the witness, on the first pair
+those rows reject.
 
 Axiom identifiers form a closed set (AXIOM_IDS).  The ones prefixed with
 "invder" and the two "zinbiel_aux" identities take a linear map delta in
@@ -30,8 +31,10 @@ of the operation and refuses to run otherwise.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
+from math import gcd, lcm
 from operator import mul
 
 from .errors import InputError
@@ -227,6 +230,29 @@ class Identity:
         exec(compile(source, f"<identity {self.id}>", "exec"), namespace)
         return namespace["evaluate"]
 
+    def linear_rows(self, op: BilinearOp) -> Rows:
+        """This row, of one operation and linear in its one map, as integer
+        rows over the map's entries, entry (a, b) at a*n + b, grouped by
+        the tuple of the orbit walk _scan takes on op that first gives
+        them: each coordinate of the residual (_linear_forms), scaled by
+        _primitive.  A map satisfies the row iff every row vanishes on it.
+        """
+        if self.ops != {"op"} or len(self.maps) != 1 \
+                or set(self.degrees.values()) != {1}:
+            raise ValueError(f"{self.id} is not linear in one map of op")
+        forms, seen, grouped = _linear_forms(self, op), set(), []
+        for t in _orbit_walk(self.arity, self.skew_symmetries if op.is_skew()
+                             else self.symmetries, op.dim):
+            fresh = []
+            for _, form in sorted(forms.get(t, {}).items()):
+                r = _primitive(form)
+                if r is not None and r not in seen:
+                    seen.add(r)
+                    fresh.append(r)
+            if fresh:
+                grouped.append((t, tuple(fresh)))
+        return tuple(grouped)
+
 
 # how a compiled row writes a map or operation step, keyed (is a map, is a
 # read): what it binds once per call, under which local name, and the
@@ -246,7 +272,7 @@ def _monomials(t: Term) -> dict[tuple, int]:
     if t.head in VARIABLES:
         return {(t.head,): 1}
     if t.head == "+":
-        return _collect(*(((m, c * k) for m, k in _monomials(a).items())
+        return _collect(*([(m, c * k) for m, k in _monomials(a).items()]
                           for c, a in zip(t.coeffs, t.args)))
     parts = [((t.head,), 1)]
     for a in t.args:
@@ -314,6 +340,65 @@ def _degree(m: tuple, name: str) -> int:
     if m[0] in VARIABLES:
         return 0
     return (m[0] == name) + sum(_degree(a, name) for a in m[1:])
+
+
+# a sparse integer row: the positions of its nonzero coefficients, and them
+IntRow = tuple[tuple[int, ...], tuple[int, ...]]
+Rows = tuple[tuple[tuple[int, ...], tuple[IntRow, ...]], ...]
+
+
+def _linear_forms(row: Identity,
+                  op: BilinearOp) -> dict[tuple, dict[int, dict[int, int]]]:
+    """The residual of row on the basis tuples where any term lands, per
+    coordinate the coefficient of each entry of the map: each monomial on
+    all tuples at once, by joins over the nonzero products of op's index."""
+    n, idx = op.dim, op._index()
+    products = [(i, j, p) for i, r in enumerate(idx) for j, p in r.items()]
+    if not products:  # every monomial joins its variables by op
+        return {}
+    rows, cols = {i for i, _, _ in products}, {j for _, j, _ in products}
+    weights = [n ** (row.arity - 1 - q) for q in range(row.arity)]
+
+    def value(m: tuple, need) -> dict[int, list[tuple[int, int, int]]]:
+        # per coordinate in need, (tuple coded by weights, entry, coefficient)
+        # terms; the entry is -1 until the map, once in each monomial, sets it
+        if m[0] in VARIABLES:
+            w = weights[VARIABLES.index(m[0])]
+            return {a: [(a * w, -1, 1)] for a in need}
+        if len(m) == 2:
+            terms = [(s, j, c) for j, at in value(m[1], range(n)).items()
+                     for s, _, c in at]
+            return {i: [(s, i * n + j, c) for s, j, c in terms] for i in need}
+        left, right, out = value(m[1], rows), value(m[2], cols), {}
+        for i, j, p in products:
+            for s, e, a in left.get(i, ()):
+                for r, f, b in right.get(j, ()):
+                    t, g, c = s + r, max(e, f), a * b
+                    for k, v in p.items():
+                        out.setdefault(k, []).append((t, g, c * v))
+        return out
+
+    forms: dict[int, dict[int, dict[int, int]]] = {}
+    for m, c in row.residual.items():
+        for k, at in value(m, range(n)).items():
+            for s, e, v in at:
+                form = forms.setdefault(s, {}).setdefault(k, {})
+                form[e] = form.get(e, 0) + c * v
+    return {tuple(s // w % n for w in weights): form
+            for s, form in forms.items()}
+
+
+def _primitive(row: dict) -> IntRow | None:
+    """A nonzero row as coprime integers with a positive first one."""
+    cells = sorted(e for e, v in row.items() if v)
+    if not cells:
+        return None
+    values = [row[e] for e in cells]
+    if Fraction in map(type, values):
+        den = lcm(*(v.denominator for v in values))
+        values = [int(v * den) for v in values]
+    g = gcd(*values) if values[0] > 0 else -gcd(*values)
+    return tuple(cells), tuple(values if g == 1 else [v // g for v in values])
 
 
 def _table() -> dict[str, Identity]:
@@ -553,10 +638,10 @@ def identity_report(identity: str, *ops: BilinearOp,
 def leibniz_witness(op: BilinearOp, delta: LinearMap) -> Witness | None:
     """First basis pair where delta fails the Leibniz rule, if any.
 
-    The pair is the first one with a row of op.leibniz() that does not
-    vanish on delta's integer numerators, which are delta times its
-    denominator.  The leibniz row of the scan then builds the witness on
-    that pair alone.
+    The pair is the first one with a row of op.leibniz(), the leibniz row
+    compiled by Identity.linear_rows, that does not vanish on delta's integer
+    numerators, which are delta times its denominator.  The leibniz row of
+    the scan then builds the witness on that pair alone.
     """
     if delta.dim != op.dim:
         raise InputError("map dimension does not match operation dimension")

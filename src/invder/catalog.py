@@ -53,16 +53,11 @@ def _labels(dim: int) -> list[str]:
     return [f"e{t + 1}" for t in range(dim)]
 
 
-def _cols(columns: list[list[str]], dim: int) -> LinearMap:
-    return LinearMap.from_column_strings(columns, dim)
-
-
 def _invertible_family(dim: int):
     def sample(rng: random.Random) -> LinearMap:
         while True:
-            entries = [[str(rng.randint(-3, 3)) for _ in range(dim)]
-                       for _ in range(dim)]
-            m = LinearMap.from_column_strings(entries, dim)
+            m = LinearMap.from_columns([[rng.randint(-3, 3) for _ in range(dim)]
+                                        for _ in range(dim)])
             if m.is_invertible():
                 return m
     return sample
@@ -82,9 +77,7 @@ def _block_family(rng: random.Random) -> LinearMap:
     b = rng.choice([1, 2, 3, -1, -2, -3])
     c = Q(a * d - (a + d) ** 2, b)
     x, y = rng.randint(-3, 3), rng.randint(-3, 3)
-    return _cols([[str(a), str(c), str(x)],
-                  [str(b), str(d), str(y)],
-                  ["0", "0", str(a + d)]], 3)
+    return LinearMap.from_columns([[a, c, x], [b, d, y], [0, 0, a + d]])
 
 
 ALL_SINGLE_KINDS = ["lie", "prelie", "associative", "zinbiel"]
@@ -109,9 +102,9 @@ def _entries() -> list[CatalogEntry]:
     out.append(CatalogEntry(
         "so3",
         AlgebraDocument.build(so3, {
-            "ad_e1": _cols([["0", "0", "0"], ["0", "0", "1"], ["0", "-1", "0"]], 3),
-            "ad_e2": _cols([["0", "0", "-1"], ["0", "0", "0"], ["1", "0", "0"]], 3),
-            "ad_e3": _cols([["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "0"]], 3),
+            "ad_e1": LinearMap.from_columns([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
+            "ad_e2": LinearMap.from_columns([[0, 0, -1], [0, 0, 0], [1, 0, 0]]),
+            "ad_e3": LinearMap.from_columns([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
         }),
         {"derivation_dim": 3, "kinds": ["lie"],
          "maps": {"ad_e1": {"is_derivation": True, "is_invertible": False,
@@ -126,11 +119,9 @@ def _entries() -> list[CatalogEntry]:
     out.append(CatalogEntry(
         "heisenberg3",
         AlgebraDocument.build(heis, {
-            "delta_w": _cols([["1", "3", "0"], ["-1", "1", "0"],
-                              ["0", "0", "2"]], 3),
+            "delta_w": LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]]),
             "diag112": LinearMap.diagonal([1, 1, 2]),
-            "ad_e1": _cols([["0", "0", "0"], ["0", "0", "1"],
-                            ["0", "0", "0"]], 3),
+            "ad_e1": LinearMap.from_columns([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
             "proj_center": LinearMap.diagonal([0, 0, 1]),
             "zero": LinearMap.zero(3),
         }),
@@ -172,8 +163,7 @@ def _entries() -> list[CatalogEntry]:
     out.append(CatalogEntry(
         "a3",
         AlgebraDocument.build(a3, {
-            "delta_A": _cols([["1", "3", "0"], ["-1", "1", "0"],
-                              ["0", "0", "2"]], 3),
+            "delta_A": LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]]),
             "identity": LinearMap.identity(3),
             "proj_x": LinearMap.diagonal([1, 0, 0]),
             "proj_z": LinearMap.diagonal([0, 0, 1]),
@@ -196,8 +186,8 @@ def _entries() -> list[CatalogEntry]:
     out.append(CatalogEntry(
         "m2",
         AlgebraDocument.build(m2, {
-            "ad_E12": _cols([["0", "-1", "0", "0"], ["0", "0", "0", "0"],
-                             ["1", "0", "0", "-1"], ["0", "1", "0", "0"]], 4)}),
+            "ad_E12": LinearMap.from_columns(
+                [[0, -1, 0, 0], [0, 0, 0, 0], [1, 0, 0, -1], [0, 1, 0, 0]])}),
         {"derivation_dim": 3, "kinds": ["prelie", "associative"],
          "maps": {"ad_E12": {"is_derivation": True, "is_invertible": False,
                              "accepted": False}},
@@ -250,8 +240,7 @@ def _entries() -> list[CatalogEntry]:
     out.append(CatalogEntry(
         "a3_zinbiel",
         AlgebraDocument.build(a3z, {
-            "delta_A": _cols([["1", "3", "0"], ["-1", "1", "0"],
-                              ["0", "0", "2"]], 3)}),
+            "delta_A": LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]])}),
         {"derivation_dim": 6, "kinds": ALL_SINGLE_KINDS,
          "maps": {"delta_A": {"accepted": True}},
          "search": {"found": True, "certificate": None}},
@@ -263,8 +252,7 @@ def _entries() -> list[CatalogEntry]:
     out.append(CatalogEntry(
         "a3_dendriform",
         AlgebraDocument.build(a3d, {
-            "delta_A": _cols([["1", "3", "0"], ["-1", "1", "0"],
-                              ["0", "0", "2"]], 3)}),
+            "delta_A": LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]])}),
         {"derivation_dim": 6, "dendriform": True,
          "maps": {"delta_A": {"accepted": True}},
          "search": {"found": True, "certificate": None}},
@@ -277,6 +265,8 @@ _CATALOG: tuple[CatalogEntry, ...] | None = None
 
 
 def catalog() -> tuple[CatalogEntry, ...]:
+    """The catalog entries, built once and shared by every call, so their
+    operations and maps keep what they cache for the life of the process."""
     global _CATALOG
     if _CATALOG is None:
         _CATALOG = tuple(_entries())

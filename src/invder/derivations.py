@@ -4,7 +4,8 @@ A linear map delta is a derivation of an operation when
 delta(x y) = (delta x) y + x (delta y) on all basis pairs.  Collecting that
 rule over every pair and every operation gives a homogeneous linear system
 in the n^2 matrix entries of delta, the integer rows of
-BilinearOp.leibniz; its kernel is the derivation space, returned with the
+BilinearOp.leibniz, the leibniz row of the identity table compiled by
+Identity.linear_rows; its kernel is the derivation space, returned with the
 canonical basis the fraction-free elimination of linalg produces, over one
 common denominator, so that a combination of the basis is summed on
 integers.
@@ -283,21 +284,13 @@ def generic_determinant(space: DerivationSpace) -> Poly:
     # do not load them
     from .poly import Poly, det_poly
 
-    n = space.algebra.dim
-    m = space.dim
-    entries = []
+    n, m = space.algebra.dim, space.dim
     flats = [b.lean_entries() for b in space.basis]
-    for r in range(n):
-        row = []
-        for c in range(n):
-            p = Poly.const(m, 0)
-            for t, flat in enumerate(flats):
-                coeff = flat[r * n + c]
-                if coeff:
-                    p = p + Poly.variable(m, t, coeff)
-            row.append(p)
-        entries.append(row)
-    return det_poly(entries)
+    # entry e of the generic element is the sum of x_t times entry e of map t
+    return det_poly([[sum((Poly.variable(m, t, flat[e])
+                           for t, flat in enumerate(flats) if flat[e]),
+                          Poly.const(m, 0))
+                      for e in range(r * n, r * n + n)] for r in range(n)])
 
 
 def invder_search(alg: Algebra, op_names=None, *, coefficient_range: int = 3,

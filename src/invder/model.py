@@ -19,7 +19,8 @@ The on-disk format is JSON:
 
 Each map is stored as a list of columns.  A table flagged "skew" may list
 only pairs with i < j; the loader fills in the transposed pairs with negated
-coefficients.  Coefficients are exact rational strings.
+coefficients, and refuses a transposed pair listed as anything else.
+Coefficients are exact rational strings.
 
 The sparse kernels (mul_sparse, apply_sparse and the scans built on them)
 run on lean scalars: a value is held as an int when it is integral and as
@@ -42,7 +43,6 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import InputError
 from .linalg import Matrix, Value, Vector, _set
@@ -60,9 +60,6 @@ Sparse = dict[int, Fraction]
 # row i maps j to the nonzero coordinates of e_i e_j, as lean scalars;
 # pairs whose product is zero are absent
 ProductIndex = tuple[dict[int, Sparse], ...]
-# a sparse integer row: the positions of its nonzero coefficients, and them
-IntRow = tuple[tuple[int, ...], tuple[int, ...]]
-LeibnizRows = tuple[tuple[tuple[int, int], tuple[IntRow, ...]], ...]
 
 
 def _normalise_entry(dim: int, pairs) -> tuple[tuple[int, Fraction], ...]:
@@ -122,22 +119,14 @@ class BilinearOp(Value):
             _set(self, "_idx", cached)
         return cached
 
-    def leibniz(self) -> LeibnizRows:
-        """The Leibniz operator of this product, built once per instance.
-
-        The residual delta(e_i e_j) - (delta e_i) e_j - e_i (delta e_j) is
-        linear in the n^2 entries of delta, taken row by row (entry (a, b)
-        at a*n + b), so each of its coordinates is a row over them.  The
-        rows are grouped by basis pair (i, j) in lexicographic order; each
-        is scaled to coprime integers with a positive first coefficient,
-        and a pair keeps only the rows no earlier pair has, since those
-        vanish on any map that passes the earlier pairs.  Pairs left with
-        no row are dropped.  A map is a derivation exactly when every row
-        vanishes on its entries.
-        """
+    def leibniz(self) -> axioms.Rows:
+        """The leibniz row compiled by Identity.linear_rows on this product,
+        once per instance: a map is a derivation exactly when every row
+        vanishes on its entries."""
         cached = self._leibniz
         if cached is None:
-            cached = _leibniz_rows(self.dim, self._index())
+            from . import axioms  # axioms imports this module
+            cached = axioms.IDENTITIES["leibniz"].linear_rows(self)
             _set(self, "_leibniz", cached)
         return cached
 
@@ -202,8 +191,8 @@ class BilinearOp(Value):
         if delta.dim != self.dim:
             raise InputError("map dimension does not match operation dimension")
         return BilinearOp.from_dict(self.dim, {
-            key: delta.apply_sparse(dict(pairs))
-            for key, pairs in self.constants})
+            (i, j): delta.apply_sparse(pairs)
+            for i, row in enumerate(self._index()) for j, pairs in row.items()})
 
     def compose_left(self, r: "LinearMap") -> "BilinearOp":
         """New product of x and y is (R x) y."""
@@ -212,71 +201,15 @@ class BilinearOp(Value):
         idx = self._index()
         out: dict[tuple[int, int], list] = {}
         for i in range(self.dim):
-            ri = r.column_sparse(i)
-            for j in range(self.dim):
-                img: Sparse = {}
-                for l, c in ri.items():
-                    for k, v in idx[l].get(j, {}).items():
-                        img[k] = img.get(k, ZERO) + c * v
-                if img:
-                    out[(i, j)] = list(img.items())
+            for l, c in r.columns()[i].items():
+                for j, pairs in idx[l].items():
+                    out.setdefault((i, j), []).extend(
+                        (k, c * v) for k, v in pairs.items())
         return BilinearOp.from_dict(self.dim, out)
 
     def _check_dim(self, other: "BilinearOp") -> None:
         if self.dim != other.dim:
             raise InputError("operation dimension mismatch")
-
-
-def _leibniz_rows(n: int, idx: ProductIndex) -> LeibnizRows:
-    """The rows of BilinearOp.leibniz, from the nonzero constants alone.
-
-    A constant v, the e_c coordinate of e_a e_b, enters 3n coefficients:
-    v delta[t][c] in coordinate t of delta(e_a e_b), and -v delta[a][t],
-    -v delta[b][t] in coordinate c of (delta e_t) e_b and of
-    e_a (delta e_t).
-    """
-    rows: dict[tuple[int, int, int], dict[int, int | Fraction]] = {}
-    for a, products in enumerate(idx):
-        for b, pairs in products.items():
-            for c, v in pairs.items():
-                for t in range(n):
-                    row = rows.setdefault((a, b, t), {})
-                    e = t * n + c
-                    row[e] = row.get(e, 0) + v
-                    row = rows.setdefault((t, b, c), {})
-                    e = a * n + t
-                    row[e] = row.get(e, 0) - v
-                    row = rows.setdefault((a, t, c), {})
-                    e = b * n + t
-                    row[e] = row.get(e, 0) - v
-    seen: set[IntRow] = set()
-    grouped: dict[tuple[int, int], list[IntRow]] = {}
-    for key in sorted(rows):
-        row = _primitive(rows[key])
-        if row is not None and row not in seen:
-            seen.add(row)
-            grouped.setdefault(key[:2], []).append(row)
-    return tuple((pair, tuple(group)) for pair, group in grouped.items())
-
-
-def _primitive(row: dict[int, int | Fraction]) -> IntRow | None:
-    """A nonzero row as coprime integers with a positive first one."""
-    cells = sorted(row)
-    values = [row[e] for e in cells]
-    if 0 in values:  # coefficients that cancelled
-        cells = [e for e in cells if row[e]]
-        if not cells:
-            return None
-        values = [row[e] for e in cells]
-    if Fraction in map(type, values):
-        den = lcm(*(v.denominator for v in values))
-        values = [int(v * den) for v in values]
-    g = gcd(*values)
-    if values[0] < 0:
-        g = -g
-    if g != 1:
-        values = [v // g for v in values]
-    return tuple(cells), tuple(values)
 
 
 class LinearMap(Value):
@@ -329,10 +262,6 @@ class LinearMap(Value):
                 out[i] = out.get(i, 0) + xj * m
         return {k: v for k, v in out.items() if v}
 
-    def column_sparse(self, j: int) -> Sparse:
-        """Nonzero entries of column j, as lean scalars."""
-        return self.columns()[j]
-
     def columns(self) -> tuple[Sparse, ...]:
         """The nonzero entries of every column, as lean scalars; built
         once per map and shared, so never mutated."""
@@ -345,8 +274,8 @@ class LinearMap(Value):
         return cols
 
     def lean_entries(self) -> tuple:
-        """The entries row by row, as lean scalars, as the Leibniz rows
-        of BilinearOp.leibniz index them."""
+        """The entries row by row, as lean scalars: entry (a, b) at
+        a*n + b, where Identity.linear_rows puts it."""
         return self.matrix.lean_entries()
 
     def integral_multiple(self) -> "LinearMap":
@@ -515,7 +444,10 @@ def _parse_table(dim: int, spec: dict) -> BilinearOp:
         for (i, j), pairs in list(table.items()):
             if (j, i) not in table:
                 table[(j, i)] = [(k, -c) for k, c in pairs]
-    return BilinearOp.from_dict(dim, table)
+    op = BilinearOp.from_dict(dim, table)
+    if skew and not op.is_skew():
+        raise InputError("skew table lists a pair both ways, not negated")
+    return op
 
 
 def algebra_from_dict(data: dict) -> AlgebraDocument:

@@ -1,8 +1,23 @@
-"""Shared fixtures: catalog entries plus a directory of serialized files."""
+"""Shared fixtures: catalog entries, a fresh catalog, and a directory of
+serialized files."""
+import importlib
+
 import pytest
 
 from invder import LinearMap, catalog, is_invder, save_algebra, twist
 from invder.catalog import _family_algebras
+
+
+@pytest.fixture
+def fresh_catalog(monkeypatch):
+    """The catalog built anew for one test, and the shared one restored
+    after it.  Catalog entries keep their caches (a map's inverse, columns
+    and integral multiple, an operation's Leibniz rows) for the process,
+    so a work count taken on them would otherwise depend on which tests
+    ran first."""
+    # the package's catalog attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("invder.catalog"),
+                        "_CATALOG", None)
 
 
 @pytest.fixture(scope="session")

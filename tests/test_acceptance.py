@@ -4,6 +4,7 @@ Each test prints exactly one PASS or FAIL line so the gate can be read off
 the terminal.  Every numeric comparison is exact equality on rationals;
 there are no tolerances anywhere.
 """
+import hashlib
 import json
 import random
 import subprocess
@@ -397,6 +398,10 @@ def test_criterion_8_counterexample_search(capfd, reverify_findings):
             first = counterexample_search(config)
         second = counterexample_search(config)
         assert first.to_json() == second.to_json()
+        # the report bytes, which every derivation space and verdict of the
+        # hunt feeds
+        assert hashlib.sha256(first.to_json().encode()).hexdigest() == \
+            "f0d13c963c819dd83bb01bd2af763123d296c7a2cff221737399d9548052d016"
         assert first.algebras_examined == len(first.rows)
 
         # Every reported finding must reproduce from its record.

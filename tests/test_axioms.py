@@ -174,6 +174,17 @@ class TestReportShape:
 
 
 class TestTable:
+    def test_residual_keeps_the_coefficient_of_each_term_of_a_sum(self):
+        # the left side of pre_lie is x(yz) - (xy)z, and squared_leibniz
+        # has 2 on its cross term alone
+        x, y, z = ("x",), ("y",), ("z",)
+        assert IDENTITIES["pre_lie"].residual == {
+            ("op", x, ("op", y, z)): 1, ("op", ("op", x, y), z): -1,
+            ("op", y, ("op", x, z)): -1, ("op", ("op", y, x), z): 1}
+        assert IDENTITIES["squared_leibniz"].residual == {
+            ("d", ("d", ("op", x, y))): 1, ("op", ("d", ("d", x)), y): -1,
+            ("op", x, ("d", ("d", y))): -1, ("op", ("d", x), ("d", y)): -2}
+
     def test_bundles_and_map_axioms_are_views_of_the_table(self):
         from invder.axioms import BUNDLES, IDENTITIES
         assert list(BUNDLES) == [
@@ -190,8 +201,8 @@ class TestTable:
                                                        "commutativity") else 3)
                    for a in AXIOM_IDS)
 
-    def test_proper_subterms_are_evaluated_once_per_assignment(self,
-                                                               monkeypatch):
+    def test_proper_subterms_are_evaluated_once_per_assignment(
+            self, fresh_catalog, monkeypatch):
         calls = []
         original = BilinearOp.mul_sparse
 
@@ -212,7 +223,8 @@ class TestTable:
         assert run_axiom(entry("abelian_3").algebra, "associativity").holds
         assert len(calls) == 2 * 9
 
-    def test_proper_map_subterms_are_memoised(self, monkeypatch):
+    def test_proper_map_subterms_are_memoised(self, fresh_catalog,
+                                              monkeypatch):
         calls = []
         original = LinearMap.apply_sparse
 

@@ -309,7 +309,7 @@ class TestTwistLemma:
                     jacobiator = add(d(mul(units[a], d(mul(units[b],
                                                            units[c]))))
                                      for a, b, c in cyclic)
-                    total = add(mul(delta.column_sparse(a),
+                    total = add(mul(delta.columns()[a],
                                     mul(units[b], units[c]))
                                 for a, b, c in cyclic)
                     assert jacobiator == {e: -v for e, v in d(total).items()}
@@ -377,6 +377,7 @@ class TestOneVerdictPerMap:
         assert len(verdicts) == len(draws) == 160
 
     def test_suite_decides_each_candidate_and_twist_once(self, verdicts,
+                                                         fresh_catalog,
                                                          monkeypatch):
         calls = {"invert": 0, "leibniz": 0}
 
@@ -388,8 +389,6 @@ class TestOneVerdictPerMap:
 
         monkeypatch.setattr(Matrix, "invert",
                             counting("invert", Matrix.invert))
-        # a fresh catalog, whose maps hold no inverse from earlier calls
-        monkeypatch.setattr(catalog_module, "_CATALOG", None)
         for name in ("axioms", "derivations"):
             module = importlib.import_module(f"invder.{name}")
             monkeypatch.setattr(module, "leibniz_witness", counting(

@@ -152,6 +152,9 @@ MALFORMED = {
         "table"][0].update(i=0.5),
     "skew-not-boolean": lambda doc: doc["operations"]["bracket"].update(
         skew="no"),
+    # (1, 0) listed as +e3 beside (0, 1) = e3 contradicts the skew flag
+    "skew-pair-not-negated": lambda doc: doc["operations"]["bracket"][
+        "table"].append({"i": 1, "j": 0, "v": [["1", 2]]}),
     "dimension-boolean": lambda doc: doc.update(
         dimension=True, basis=["e1"], maps={},
         operations={"bracket": {"table": []}}),

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invder import (Algebra, BilinearOp, InvDerAlgebra, LinearMap, catalog,
-                    derivation_space, entry, generic_determinant,
+from invder import (Algebra, BilinearOp, InvDerAlgebra, LinearMap, axioms,
+                    catalog, derivation_space, entry, generic_determinant,
                     invder_search, is_derivation, is_invder, load_algebra,
-                    model, run_axiom)
+                    run_axiom)
 from invder.errors import InputError, NotInvDerError
 
 
@@ -228,13 +228,13 @@ class TestLeibnizOperator:
     @pytest.fixture
     def builds(self, monkeypatch):
         seen = []
-        original = model._leibniz_rows
+        original = axioms.Identity.linear_rows
 
-        def counted(n, idx):
-            seen.append(n)
-            return original(n, idx)
+        def counted(row, op):
+            seen.append(row.id)
+            return original(row, op)
 
-        monkeypatch.setattr(model, "_leibniz_rows", counted)
+        monkeypatch.setattr(axioms.Identity, "linear_rows", counted)
         return seen
 
     @pytest.mark.parametrize("entry_id,operations", [
@@ -245,7 +245,7 @@ class TestLeibnizOperator:
         doc = load_algebra(str(algebra_dir / f"{entry_id}.json"))
         alg = doc.algebra
         space = derivation_space(alg)
-        assert len(builds) == operations
+        assert builds == ["leibniz"] * operations
         maps = [m for _, m in doc.maps] + list(space.basis) \
             + [space.combination(range(1, space.dim + 1))]
         for m in maps:

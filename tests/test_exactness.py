@@ -4,17 +4,20 @@ Leibniz operator and the scan's lookups against plain references.
 The sparse kernels hold integral values as ints, a matrix holds integer
 numerators over one denominator, rref, det and invert eliminate
 fraction-free on integer rows, the Leibniz rule is decided by the sparse
-integer rows of BilinearOp.leibniz on a map's numerators, the scan runs a
-row compiled once, reads products of basis vectors and their images off
-shared tables, and it walks one basis tuple per orbit of the symmetries
-each row derives from its sides.  Each is compared here with a plain
-computation written out in this file (dense Fractions, the square rows by
-their definition with the matrix square of delta, the full scan of the
-leibniz row, the dense Leibniz system, the walk over every tuple), on
-tables, maps and matrices with zero rows and columns and with
+integer rows that Identity.linear_rows compiles from the leibniz row
+(BilinearOp.leibniz) on a map's numerators, the scan runs a row compiled
+once, reads products of basis vectors and their images off shared tables,
+and it walks one basis tuple per orbit of the symmetries each row derives
+from its sides.  Each is compared here with a plain computation written
+out in this file (dense Fractions, the square rows by their definition
+with the matrix square of delta, the full scan of the leibniz row and its
+residual on every pair, the dense Leibniz system, the walk over every
+tuple), on tables, maps and matrices with zero rows and columns and with
 non-integral entries, and every public value is checked to be a
 Fraction.
 """
+import hashlib
+import json
 from fractions import Fraction as Q
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd, lcm
@@ -26,8 +29,8 @@ from hypothesis import strategies as st
 from invder import (FAMILIES, Algebra, BilinearOp, LinearMap, SearchConfig,
                     catalog, derivation_space, entry, identity_report,
                     is_derivation, is_invder, run_axiom)
-from invder.axioms import (BUNDLES, IDENTITIES, VARIABLES, _orbit_walk,
-                           _scan, leibniz_witness)
+from invder.axioms import (BUNDLES, IDENTITIES, VARIABLES, _linear_forms,
+                           _orbit_walk, _scan, leibniz_witness)
 from invder.catalog import _family_algebras
 from invder.errors import SingularMatrixError
 from invder.linalg import Matrix
@@ -141,8 +144,7 @@ def assert_caches_untouched(ops, maps) -> None:
         assert op._index() == BilinearOp(op.dim, op.constants)._index()
     for m in maps:
         fresh = LinearMap(m.matrix)
-        assert [m.column_sparse(j) for j in range(m.dim)] \
-            == [fresh.column_sparse(j) for j in range(m.dim)]
+        assert m.columns() == fresh.columns()
 
 
 class TestLeanKernels:
@@ -185,8 +187,7 @@ class TestLeanKernels:
         fresh = LinearMap(mix.matrix)
         assert [(type(v), v) for v in mix.lean_entries()] \
             == [(type(v), v) for v in fresh.lean_entries()]
-        assert [mix.column_sparse(j) for j in range(n)] \
-            == [fresh.column_sparse(j) for j in range(n)]
+        assert mix.columns() == fresh.columns()
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(SINGLE_OP_ROWS), tables_and_maps())
@@ -422,6 +423,11 @@ STRUCTURED_OPS = [e.algebra.op() for e in catalog()
         SearchConfig(family, max_dim=4, tables_per_dim=2))[0]]
 
 
+# the rows of one operation that are linear in their one map, delta
+LINEAR_ROWS = [row for row in IDENTITIES.values() if row.ops == {"op"}
+               and row.maps == {"d"} and row.degrees["d"] == 1]
+
+
 SKEW_OPS = [op for op in STRUCTURED_OPS
             if identity_report("skew_symmetry", op).holds]
 
@@ -524,6 +530,59 @@ class TestLeibnizOperator:
                 for e in range(alg.dim ** 2)]
             assert_fractions(mix.matrix.entries)
             assert is_derivation(mix, alg).holds
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_compiled_forms_are_the_scanned_residual(self, data):
+        # on every basis tuple, not only those of the orbit walk, the forms
+        # at delta's numerators are the scan's residual on its integral
+        # multiple, den times the true one; for the leibniz row and every
+        # other row linear_rows takes
+        row = data.draw(st.sampled_from(LINEAR_ROWS))
+        op = data.draw(st.one_of(
+            tables(), st.integers(1, 4).flatmap(
+                lambda n: sparse_tables_of(n, skew=True)),
+            st.sampled_from(STRUCTURED_OPS)))
+        delta = data.draw(leibniz_candidates(op))
+        forms, num = _linear_forms(row, op), delta.matrix.num
+        for t in product(range(op.dim), repeat=row.arity):
+            got = {k: sum(c * num[e] for e, c in form.items())
+                   for k, form in forms.get(t, {}).items()}
+            w = _scan(row, op.dim, {"op": op}, {"d": delta}, tuples=(t,))
+            want = {} if w is None else {
+                k: w.left.get(k, 0) - w.right.get(k, 0)
+                for k in w.left.keys() | w.right.keys()}
+            assert {k: v for k, v in got.items() if v} \
+                == {k: v for k, v in want.items() if v}, t
+
+    def test_rows_and_bases_are_pinned(self):
+        # hashes taken before the rows were compiled from the leibniz row:
+        # the grouped rows (pairs, their order, the integer rows) of every
+        # catalog operation and criterion-8 hunt table, and the derivation
+        # space bases of those algebras, of all their operations and of
+        # each one
+        algebras = [e.algebra for e in catalog()] + _family_algebras(
+            SearchConfig("random_nilpotent_tables", max_dim=6, seed=7,
+                         tables_per_dim=10))[0]
+        rows, bases = hashlib.sha256(), hashlib.sha256()
+        for alg in algebras:
+            for _, op in alg.ops:
+                rows.update(repr(op.leibniz()).encode() + b"\n")
+            for names in [None] + [[name] for name in alg.op_names()]:
+                bases.update(json.dumps(
+                    derivation_space(alg, names).to_dict()).encode())
+        assert rows.hexdigest() == "e333345661d2d157bb4c2790f0dc526b" \
+            "42eb0d1f7d0cc1f7b795494f4b558dfa"
+        assert bases.hexdigest() == "3c8df6906f1b3f075dbbbcae94a19538" \
+            "ea2cc951d65c1913775d1ab86920395e"
+
+    def test_only_rows_linear_in_one_map_compile(self):
+        op = entry("heisenberg3").algebra.op()
+        for identity in ("jacobi", "square_condition", "rota_baxter"):
+            with pytest.raises(ValueError, match="not linear in one map"):
+                IDENTITIES[identity].linear_rows(op)
+        assert IDENTITIES["leibniz"].linear_rows(op) == op.leibniz()
 
 
 # ------------------------------------------------- the lookups of the scan

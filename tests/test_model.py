@@ -82,7 +82,7 @@ class TestLinearMap:
     def test_column_is_image_of_basis_vector(self):
         m = LinearMap.from_columns([[0, 1], [1, 0]])
         assert m.matrix.apply(Vector.of([1, 0])) == Vector.of([0, 1])
-        assert m.column_sparse(0) == {1: Q(1)}
+        assert m.columns()[0] == {1: Q(1)}
 
     def test_rows_and_columns_are_transposes(self):
         assert LinearMap(Matrix.from_rows([[1, 2], [3, 4]])) == \
