@@ -40,10 +40,8 @@ _EXPORTS = {
         "InvDerVerdict", "derivation_space", "generic_determinant",
         "invder_search", "is_derivation", "is_invder"),
     "errors": (
-        "CommutationFailureError", "InputError", "InvderError",
-        "NotIdempotentError", "NotInvDerError", "NotMultiplicativeError",
-        "NotRotaBaxterError", "PreconditionError", "SingularMatrixError",
-        "SourceAxiomFailureError", "SymmetryPreconditionFailureError"),
+        "InputError", "InvderError", "NotInvDerError", "PreconditionError",
+        "SingularMatrixError"),
     "model": (
         "FAMILIES", "KINDS", "Algebra", "AlgebraDocument", "BilinearOp",
         "LinearMap", "algebra_from_dict", "algebra_to_dict", "load_algebra",

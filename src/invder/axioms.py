@@ -14,9 +14,8 @@ itself, as written or, when every operation of the row is skew, by the
 rule op(a, b) = -op(b, a).  Its first violation is the first of the walk
 over every tuple.  A subterm on basis vectors alone, such as [y, z] or
 delta x, is read off the operation's index of basis products or the
-map's columns, so it costs no product at all; every other proper subterm
-is evaluated once per assignment of the variables it mentions, so
-delta [y, z] costs n^2 map applications per scan, not n^3.
+map's columns, so it costs no product at all; every other subterm is
+evaluated once per walked tuple, however often the row repeats it.
 Verdicts are computed from the structure constants themselves; a kind
 hint on the algebra is never trusted.  The Leibniz rule is decided by its
 row compiled into integer rows over the map's entries (Identity.linear_rows,
@@ -140,109 +139,72 @@ class Identity:
         return _symmetries(self.residual, self.arity, True)
 
     @cached_property
-    def plan(self) -> tuple[tuple, int, int]:
-        """Distinct subterms in evaluation order, and where the sides are.
-
-        Each step is (head, child steps, coefficients, variable positions,
-        how).  how is "read" for a variable, for an operation of two
-        variables and for a map of one variable: on basis vectors these
-        are a unit vector, a basis product and a column, read off tables
-        built once.  It is "memo" for any other subterm that mentions
-        fewer variables than the identity, since it then repeats across
-        the scan, and "eval" for the rest.
-        """
-        steps: list[tuple] = []
-        seen: dict[tuple, int] = {}
-
-        def visit(t: Term) -> int:
-            kids = tuple(visit(a) for a in t.args)
-            key = (t.head, kids, t.coeffs)
-            if key not in seen:
-                pos = tuple(i for i, v in enumerate(VARIABLES)
-                            if v in t.variables)
-                if t.head in VARIABLES or t.head != "+" and all(
-                        steps[k][0] in VARIABLES for k in kids):
-                    how = "read"
-                elif len(pos) < self.arity:
-                    how = "memo"
-                else:
-                    how = "eval"
-                seen[key] = len(steps)
-                steps.append((t.head, kids, t.coeffs, pos, how))
-            return seen[key]
-
-        lhs, rhs = visit(self.lhs), visit(self.rhs)
-        return tuple(steps), lhs, rhs
-
-    @cached_property
     def evaluate(self):
-        """The plan compiled once into a function of (tuples, ops, maps,
+        """The row compiled once into a function of (tuples, ops, maps,
         units) that returns the first tuple where the sides differ, with
         both sides, or None.
 
-        Each step becomes one line of the function, on the local names of
-        the variables (_STEP_CODE): a read is an index into the
-        operation's index of basis products or the map's columns, and a
-        "memo" step looks its variables up in a dict made fresh on every
-        call.  The operations and maps are looked up on every call, so
-        the function is shared by every scan of the row.
+        One recursive pass over the two sides writes each distinct subterm
+        as one line of the loop body, just before its first use, on the
+        local names of the variables (_STEP_CODE).  An operation of two
+        variables and a map of one are reads, an index into the
+        operation's index of basis products or the map's columns; a
+        variable that anything else takes is its unit vector.  Every line
+        runs on every tuple.  The operations and maps are looked up on
+        every call, so the function is shared by every scan of the row.
         """
-        steps, lhs, rhs = self.plan
-        used = {lhs, rhs}.union(*(kids for _, kids, _, _, how in steps
-                                  if how != "read"))
         bound: dict[str, str] = {}
-        body: list[str] = []
-        for s, (head, kids, coeffs, pos, how) in enumerate(steps):
-            args = [steps[k][0] if how == "read" else f"s{k}" for k in kids]
-            if head in VARIABLES:
-                if s not in used:
-                    continue
-                expr = f"units[{head}]"
-            elif head == "+":
+        lines: dict[str, str] = {}  # expression -> the local name it sets
+
+        def visit(t: Term) -> str:
+            if t.head in VARIABLES:
+                expr = f"units[{t.head}]"
+            elif t.head == "+":
                 expr = "signed((" + "".join(
-                    f"({c}, {a}), " for c, a in zip(coeffs, args)) + "))"
+                    f"({c}, {visit(a)}), " for c, a in t._signed()) + "))"
             else:
-                source, name, form = _STEP_CODE[len(kids) == 1,
-                                                how == "read"]
-                name = name.format(head)
-                bound[name] = source.format(head)
-                expr = form.format(name, *args)
-            if how == "memo":
-                names = [VARIABLES[p] for p in pos]
-                key = names[0] if len(names) == 1 \
-                    else "(" + "".join(n + ", " for n in names) + ")"
-                bound[f"memo{s}"] = "{}"
-                body += [f"s{s} = memo{s}.get({key})",
-                         f"if s{s} is None:",
-                         f"    s{s} = memo{s}[{key}] = {expr}"]
-            else:
-                body.append(f"s{s} = {expr}")
+                read = all(a.head in VARIABLES for a in t.args)
+                source, name, form = _STEP_CODE[len(t.args) == 1, read]
+                name = name.format(t.head)
+                bound[name] = source.format(t.head)
+                expr = form.format(name, *(a.head if read else visit(a)
+                                           for a in t.args))
+            return lines.setdefault(expr, f"s{len(lines)}")
+
+        lhs, rhs = visit(self.lhs), visit(self.rhs)
         source = "\n".join([
             "def evaluate(tuples, ops, maps, units):",
             *(f"    {name} = {value}" for name, value in bound.items()),
             "    for t in tuples:",
             f"        {', '.join(VARIABLES[:self.arity])}, = t",
-            *("        " + line for line in body),
-            f"        if s{lhs} != s{rhs}:",
-            f"            return t, s{lhs}, s{rhs}",
+            *(f"        {name} = {expr}" for expr, name in lines.items()),
+            f"        if {lhs} != {rhs}:",
+            f"            return t, {lhs}, {rhs}",
             "    return None"])
         namespace = {"signed": _signed_sum, "NO": _NO_PRODUCT}
         exec(compile(source, f"<identity {self.id}>", "exec"), namespace)
         return namespace["evaluate"]
 
+    def walk(self, ops: dict[str, BilinearOp], dim: int) -> tuple:
+        """The orbit walk (_orbit_walk) of this row on ops: of its
+        skew_symmetries when every operation it names is skew, and of its
+        symmetries otherwise."""
+        return _orbit_walk(self.arity, self.skew_symmetries if all(
+            ops[name].is_skew() for name in self.ops) else self.symmetries,
+            dim)
+
     def linear_rows(self, op: BilinearOp) -> Rows:
         """This row, of one operation and linear in its one map, as integer
         rows over the map's entries, entry (a, b) at a*n + b, grouped by
-        the tuple of the orbit walk _scan takes on op that first gives
-        them: each coordinate of the residual (_linear_forms), scaled by
+        the tuple of the row's walk on op (walk) that first gives them:
+        each coordinate of the residual (_linear_forms), scaled by
         _primitive.  A map satisfies the row iff every row vanishes on it.
         """
         if self.ops != {"op"} or len(self.maps) != 1 \
                 or set(self.degrees.values()) != {1}:
             raise ValueError(f"{self.id} is not linear in one map of op")
         forms, seen, grouped = _linear_forms(self, op), set(), []
-        for t in _orbit_walk(self.arity, self.skew_symmetries if op.is_skew()
-                             else self.symmetries, op.dim):
+        for t in self.walk({"op": op}, op.dim):
             fresh = []
             for _, form in sorted(forms.get(t, {}).items()):
                 r = _primitive(form)
@@ -254,9 +216,9 @@ class Identity:
         return tuple(grouped)
 
 
-# how a compiled row writes a map or operation step, keyed (is a map, is a
-# read): what it binds once per call, under which local name, and the
-# expression on that name and the step's arguments
+# how a compiled row writes a map or operation subterm, keyed (is a map, is
+# a read): what it binds once per call, under which local name, and the
+# expression on that name and the subterm's arguments
 _STEP_CODE = {
     (True, True): ("maps[{0!r}].columns()", "cols_{0}", "{0}[{1}]"),
     (True, False): ("maps[{0!r}].apply_sparse", "apply_{0}", "{0}({1})"),
@@ -592,19 +554,17 @@ def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
           maps: dict[str, LinearMap], tuples=None) -> Witness | None:
     """First basis tuple where the row's sides differ, or None.
 
-    The walk is the cached tuple list of the orbit walk (_orbit_walk) of
-    the row's skew_symmetries when every operation the row names is skew,
-    and of its symmetries otherwise; tuples, when given, replaces it.  The
-    witness of the orbit walk is the first failure of the walk over every
-    basis tuple.  The evaluation runs on the lean scalars of the sparse
-    kernels (ints where integral) through the row's compiled evaluate; the
-    witness keeps both sides so, and converts them to Fractions only where
-    they are read.  A map with a denominator that the row is homogeneous
+    The walk is the row's orbit walk on ops (Identity.walk), whose witness
+    is the first failure of the walk over every basis tuple; tuples, when
+    given, replaces it.  The evaluation runs on the lean scalars of the
+    sparse kernels (ints where integral) through the row's compiled
+    evaluate; the witness keeps both sides so, and converts them to
+    Fractions only where they are read.  A map with a denominator that the row is homogeneous
     in, of degree k, is replaced by its integral multiple: both sides are
     then den^k times the true ones, so they differ on the same tuples, and
-    the witness divides them back when it converts them.  The steps that
+    the witness divides them back when it converts them.  The lines that
     read a basis product or a column return the dicts shared with the
-    operation's index and the map's column cache, which no step mutates.
+    operation's index and the map's column cache, which no line mutates.
     """
     scale = 1
     for name, degree in row.degrees.items():
@@ -612,10 +572,8 @@ def _scan(row: Identity, dim: int, ops: dict[str, BilinearOp],
         if den != 1:
             maps = {**maps, name: maps[name].integral_multiple()}
             scale *= den ** degree
-    if tuples is None:
-        tuples = _orbit_walk(row.arity, row.skew_symmetries if all(
-            ops[name].is_skew() for name in row.ops) else row.symmetries, dim)
-    found = row.evaluate(tuples, ops, maps, _units(dim))
+    found = row.evaluate(row.walk(ops, dim) if tuples is None else tuples,
+                         ops, maps, _units(dim))
     if found is None:
         return None
     t, left, right = found
@@ -628,11 +586,17 @@ def identity_report(identity: str, *ops: BilinearOp,
     with the maps it names; the witness is the first failing tuple of the
     first operation that fails."""
     row = IDENTITIES[identity]
-    for op in ops:
-        witness = _scan(row, op.dim, {"op": op}, maps)
+    return _first_failure(identity, (_scan(row, op.dim, {"op": op}, maps)
+                                     for op in ops))
+
+
+def _first_failure(name: str, witnesses) -> CheckReport:
+    """The report of name on the first witness that is not None, which
+    ends the walk of witnesses, or that name holds when there is none."""
+    for witness in witnesses:
         if witness is not None:
-            return CheckReport(identity, False, witness)
-    return CheckReport(identity, True)
+            return CheckReport(name, False, witness)
+    return CheckReport(name, True)
 
 
 def leibniz_witness(op: BilinearOp, delta: LinearMap) -> Witness | None:

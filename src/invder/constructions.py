@@ -20,10 +20,7 @@ from .axioms import (BUNDLES, CheckReport, identity_report,
                      invder_identity_axioms, kind_axioms, run_axiom)
 from .derivations import (InvDerVerdict, is_derivation, is_invder,
                           require_invder)
-from .errors import (CommutationFailureError, InputError, InvderError,
-                     NotIdempotentError, NotMultiplicativeError,
-                     NotRotaBaxterError, SourceAxiomFailureError,
-                     SymmetryPreconditionFailureError)
+from .errors import InputError, InvderError, PreconditionError
 from .linalg import Value, _set
 from .model import Algebra, AlgebraDocument, BilinearOp, LinearMap, algebra_to_dict
 from .rational import Q, ZERO
@@ -85,7 +82,7 @@ def _require_source(reports: list[CheckReport], what: str,
                     force: bool) -> None:
     bad = [r for r in reports if not r.holds]
     if bad and not force:
-        raise SourceAxiomFailureError(
+        raise PreconditionError(
             f"source is not {what}: {bad[0].axiom} fails at "
             f"{bad[0].witness.indices}")
 
@@ -292,7 +289,7 @@ def _carried(alg: Algebra, names: list[str], delta: LinearMap | None,
         return None
     verdict = require_invder(delta, alg, names, "carried map")
     if operator is not None and not delta.commutes_with(operator):
-        raise CommutationFailureError(
+        raise PreconditionError(
             "carried map does not commute with the operator")
     return verdict
 
@@ -300,7 +297,7 @@ def _carried(alg: Algebra, names: list[str], delta: LinearMap | None,
 def _require_rota_baxter(r: LinearMap, alg: Algebra, name: str) -> None:
     rb = is_rota_baxter(r, alg, name)
     if not rb.holds:
-        raise NotRotaBaxterError(
+        raise PreconditionError(
             f"operator fails the weight zero identity at {rb.witness.indices}")
 
 
@@ -359,10 +356,10 @@ def endo_lie_from_assoc(alg: Algebra, endo: LinearMap,
     if endo.dim != alg.dim:
         raise InputError("map dimension does not match algebra dimension")
     if endo.compose(endo) != endo:
-        raise NotIdempotentError("operator is not idempotent")
+        raise PreconditionError("operator is not idempotent")
     mult = identity_report("multiplicative", mu, P=endo)
     if not mult.holds:
-        raise NotMultiplicativeError(
+        raise PreconditionError(
             f"operator is not multiplicative at {mult.witness.indices}")
     verdict = _carried(alg, [name], delta, endo)
     if delta is not None:
@@ -419,7 +416,7 @@ def dendriform_to_zinbiel(alg: Algebra, delta: LinearMap | None = None,
     """Read the right half-product as zinbiel when the halves mirror."""
     left, right = _dendriform_source(alg, force)
     if left != right.opposite():
-        raise SymmetryPreconditionFailureError(
+        raise PreconditionError(
             "half-products are not mirror images of each other")
     verdict = _carried(alg, ["left", "right"], delta)
     out = alg.with_ops(f"{alg.name}.zinbiel", {"diamond": right}, "zinbiel")

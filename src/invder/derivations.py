@@ -25,7 +25,8 @@ from __future__ import annotations
 import random
 from math import lcm
 
-from .axioms import CheckReport, identity_report, leibniz_witness
+from .axioms import (CheckReport, _first_failure, identity_report,
+                     leibniz_witness)
 from .errors import (InputError, InvderError, NotInvDerError,
                      SingularMatrixError)
 from .linalg import Matrix, Value, Vector, _set, solve
@@ -42,11 +43,7 @@ def _selected_ops(alg: Algebra, op_names) -> list[BilinearOp]:
 
 
 def _leibniz_report(name: str, delta: LinearMap, ops) -> CheckReport:
-    for op in ops:
-        w = leibniz_witness(op, delta)
-        if w is not None:
-            return CheckReport(name, False, w)
-    return CheckReport(name, True)
+    return _first_failure(name, (leibniz_witness(op, delta) for op in ops))
 
 
 def is_derivation(delta: LinearMap, alg: Algebra,

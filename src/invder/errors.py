@@ -26,27 +26,3 @@ class PreconditionError(InvderError):
 
 class NotInvDerError(PreconditionError):
     """The supplied map is not an invertible derivation with derivation inverse."""
-
-
-class NotRotaBaxterError(PreconditionError):
-    """The supplied operator fails the Rota-Baxter identity at the given weight."""
-
-
-class CommutationFailureError(PreconditionError):
-    """Two maps that must commute do not."""
-
-
-class NotIdempotentError(PreconditionError):
-    """The supplied operator is not idempotent."""
-
-
-class NotMultiplicativeError(PreconditionError):
-    """The supplied operator does not respect the product."""
-
-
-class SourceAxiomFailureError(PreconditionError):
-    """The source algebra fails the axiom the construction relies on."""
-
-
-class SymmetryPreconditionFailureError(PreconditionError):
-    """The two dendriform products fail the symmetry the passage requires."""

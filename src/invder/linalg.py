@@ -240,19 +240,6 @@ class Matrix(Value):
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "Matrix", sign: int) -> "Matrix":
-        self._check_shape(other)
-        a, b = other.den, sign * self.den
-        return Matrix.over(self.rows, self.cols,
-                           [x * a + y * b for x, y in zip(self.num, other.num)],
-                           self.den * other.den)
-
     def scale(self, c) -> "Matrix":
         c = Q(c)
         return Matrix.over(self.rows, self.cols,
@@ -291,11 +278,6 @@ class Matrix(Value):
                     acc += a * v[k]
             out.append(acc / self.den)
         return Vector(tuple(out))
-
-    def transpose(self) -> "Matrix":
-        return Matrix.over(self.cols, self.rows,
-                           [self.num[i * self.cols + j] for j in range(self.cols)
-                            for i in range(self.rows)], self.den)
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -406,10 +388,6 @@ class Matrix(Value):
         den = self.den
         return Matrix.over(n, n, [v * den for row in rows for v in row[n:]],
                            eliminated[1])
-
-    def _check_shape(self, other: "Matrix") -> None:
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InputError("matrix shape mismatch")
 
 
 def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int] | None:

@@ -223,8 +223,8 @@ class TestTable:
         assert run_axiom(entry("abelian_3").algebra, "associativity").holds
         assert len(calls) == 2 * 9
 
-    def test_proper_map_subterms_are_memoised(self, fresh_catalog,
-                                              monkeypatch):
+    def test_proper_map_subterms_are_applied_on_every_tuple(
+            self, fresh_catalog, monkeypatch):
         calls = []
         original = LinearMap.apply_sparse
 
@@ -237,9 +237,9 @@ class TestTable:
         op, delta = e.algebra.op(), e.document.map("delta_w")
         assert _scan(IDENTITIES["identity_25"], 3, {"op": op}, {"d": delta},
                      tuples=product(range(3), repeat=3)) is None
-        # d(op(y, z)), d(op(z, x)) and d(op(x, y)) once per pair each; the
-        # images d(x), d(y), d(z) are columns, read with no product
-        assert len(calls) == 3 * 9
+        # d(op(y, z)), d(op(z, x)) and d(op(x, y)) once per triple each;
+        # the images d(x), d(y), d(z) are columns, read with no product
+        assert len(calls) == 3 * 27
         calls.clear()
         # on the skew bracket the orbit walk takes the one triple x < y < z
         assert run_axiom(e.algebra, "identity_25", None, delta).holds

@@ -712,7 +712,7 @@ class TestCompiledRows:
     def test_interleaved_scans_keep_apart(self, identity, first, second):
         # each row is compiled once; a second scan of it, run while the
         # first is part way through its walk, on another operation and
-        # map, must neither see nor leave memo entries or lookups
+        # map, must neither see nor change what the first one reads
         row = IDENTITIES[identity]
 
         def scan_of(pair, tuples=None):

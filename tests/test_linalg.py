@@ -26,7 +26,6 @@ class TestMatrixBasics:
         assert m == Matrix.from_columns([[1, 3], [2, 4]])
         assert m.row(0) == Vector.of([1, 2])
         assert m.column(0) == Vector.of([1, 3])
-        assert m.transpose() == Matrix.from_rows([[1, 3], [2, 4]])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(InputError):
@@ -42,8 +41,6 @@ class TestMatrixBasics:
             m.apply(Vector.of([1, 1, 1]))
         with pytest.raises(InputError):
             m.matmul(Matrix.zeros(3, 2))
-        with pytest.raises(InputError):
-            m + Matrix.zeros(3, 2)
 
 
 class TestDeterminantAndInverse:

@@ -13,7 +13,7 @@ import pytest
 from invder import (Algebra, BilinearOp, InvDerVerdict, LinearMap,
                     endo_lie_from_assoc, entry, identity_report, is_invder,
                     is_rota_baxter, leibniz_witness, run_axiom)
-from invder.errors import NotMultiplicativeError
+from invder.errors import PreconditionError
 
 
 def broken_so3():
@@ -162,7 +162,7 @@ def test_rota_baxter_witness_weight_one():
 
 
 def test_multiplicativity_failure_names_the_pair():
-    with pytest.raises(NotMultiplicativeError,
+    with pytest.raises(PreconditionError,
                        match=r"^operator is not multiplicative at \(1, 2\)$"):
         endo_lie_from_assoc(entry("m2").algebra,
                             LinearMap.diagonal([1, 0, 0, 0]))
