@@ -368,7 +368,6 @@ def run_property_suite(seed: int = 0, samples: int = 100) -> SuiteReport:
 
     def record(entry_id: str, label: str, check: str, holds: bool,
                counted: bool, indices=None) -> None:
-        nonlocal violations
         if counted:
             slot = checks.setdefault(check, {"instances": 0, "violations": 0})
             slot["instances"] += 1

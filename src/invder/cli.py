@@ -10,6 +10,11 @@ is held to the INVDER_MAX_DIM dimension cap.  Results go to stdout,
 diagnostics to stderr.  With identical arguments, input files and seeds
 the output bytes are identical; no command ever modifies its input file.
 
+A command's handler writes no output: it returns its exit code, its JSON
+payload and its text lines, and main renders one of the two through
+_render, the one writer of stdout.  Only a check with a refused row
+renders its partial result itself, before it raises.
+
 Each command imports the modules it runs when it runs, so start-up loads
 no mathematics that the command does not use.
 """
@@ -46,9 +51,15 @@ PASSAGES = {
     "dendriform-to-prelie": ("map", "force"),
 }
 
+# what every handler returns: exit code, JSON payload, text lines
+Result = tuple[int, dict, list[str]]
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+
+def _render(args, payload: dict, lines: list[str]) -> None:
+    """Write a command's result to stdout: the payload under --json, one
+    line per element otherwise."""
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n" if args.json
+                     else "".join(f"{line}\n" for line in lines))
 
 
 def _fmt_combination(coeffs, basis_names) -> str:
@@ -70,31 +81,28 @@ def _fmt_combination(coeffs, basis_names) -> str:
     return " ".join([head] + terms[1:])
 
 
-def _map_lines(m: LinearMap, alg: Algebra, indent: str = "  ") -> list[str]:
+def _map_lines(m: LinearMap, alg: Algebra) -> list[str]:
     lines = []
     for j, label in enumerate(alg.basis_names):
         col = [m.matrix.entry(i, j) for i in range(alg.dim)]
-        lines.append(f"{indent}{label} -> {_fmt_combination(col, alg.basis_names)}")
+        lines.append(f"  {label} -> {_fmt_combination(col, alg.basis_names)}")
     return lines
 
 
-def _report_lines(rep: CheckReport) -> list[str]:
-    if rep.holds:
-        return [f"{rep.axiom}: holds"]
-    if rep.witness is None:
-        return [f"{rep.axiom}: fails"]
-    w = rep.witness
-    return [
-        f"{rep.axiom}: fails at ({', '.join(str(i) for i in w.indices)})",
-        f"  lhs = ({', '.join(str(c) for c in w.lhs.entries)})",
-        f"  rhs = ({', '.join(str(c) for c in w.rhs.entries)})",
-    ]
-
-
-def _print_reports(reports) -> None:
+def _report_lines(reports: list[CheckReport]) -> list[str]:
+    lines = []
     for rep in reports:
-        for line in _report_lines(rep):
-            print(line)
+        if rep.holds:
+            lines.append(f"{rep.axiom}: holds")
+        elif rep.witness is None:
+            lines.append(f"{rep.axiom}: fails")
+        else:
+            w = rep.witness
+            lines += [
+                f"{rep.axiom}: fails at ({', '.join(map(str, w.indices))})",
+                f"  lhs = ({', '.join(map(str, w.lhs.entries))})",
+                f"  rhs = ({', '.join(map(str, w.rhs.entries))})"]
+    return lines
 
 
 def _load(args) -> AlgebraDocument:
@@ -140,28 +148,23 @@ def _reject_empty(args) -> None:
             raise InputError(f"{flag} needs a non-empty {what}")
 
 
-def _construction_output(res: ConstructionResult, args,
-                         head: str | None = None) -> int:
-    # the file is written first, so a failed write prints no report
+def _construction_output(res: ConstructionResult, args, what: str) -> Result:
+    """A built algebra's result, headed "what name (kind k)"."""
+    # the file is written before main renders, so a failed write prints no
+    # report
+    lines = [f"{what} {res.algebra.name} (kind {res.algebra.kind_hint})",
+             *_report_lines(res.verification),
+             *(f"note: {note}" for note in res.notes)]
     if args.output is not None:
         save_algebra(res.to_document(), args.output)
-    if args.json:
-        _emit_json(res.to_dict())
-    else:
-        if head:
-            print(head)
-        _print_reports(res.verification)
-        for note in res.notes:
-            print(f"note: {note}")
-        if args.output is not None:
-            print(f"wrote {args.output}")
-    return 0 if res.ok else 1
+        lines.append(f"wrote {args.output}")
+    return 0 if res.ok else 1, res.to_dict(), lines
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Result:
     from .axioms import AXIOM_IDS, BUNDLES, DELTA_AXIOMS, run_axiom
 
     doc = _load(args)
@@ -192,82 +195,60 @@ def cmd_check(args) -> int:
         except InputError as exc:
             refused = refused or exc
     ok = refused is None and all(r.holds for r in reports)
-    if reports and args.json:
-        payload = {"algebra": alg.name,
-                   "axioms": [r.to_dict() for r in reports], "ok": ok}
-        if refused is not None:
-            payload["error"] = str(refused)
-        _emit_json(payload)
-    elif reports:
-        _print_reports(reports)
-    if refused is not None:
-        raise refused
-    return 0 if ok else 1
+    payload = {"algebra": alg.name,
+               "axioms": [r.to_dict() for r in reports], "ok": ok}
+    if refused is None:
+        return 0 if ok else 1, payload, _report_lines(reports)
+    if reports:
+        payload["error"] = str(refused)
+        _render(args, payload, _report_lines(reports))
+    raise refused
 
 
-def cmd_derivations(args) -> int:
+def cmd_derivations(args) -> Result:
     from .derivations import derivation_space
 
-    doc = _load(args)
-    alg = doc.algebra
+    alg = _load(args).algebra
     space = derivation_space(alg, _single_op(args))
-    if args.json:
-        payload = {"algebra": alg.name}
-        payload.update(space.to_dict())
-        _emit_json(payload)
-        return 0
-    print(f"derivation space of {alg.name} "
-          f"(ops: {', '.join(space.op_names)}): dim {space.dim}")
+    lines = [f"derivation space of {alg.name} "
+             f"(ops: {', '.join(space.op_names)}): dim {space.dim}"]
     for t, b in enumerate(space.basis):
-        print(f"basis {t}:")
-        for line in _map_lines(b, alg):
-            print(line)
-    return 0
+        lines += [f"basis {t}:", *_map_lines(b, alg)]
+    return 0, {"algebra": alg.name, **space.to_dict()}, lines
 
 
-def cmd_invder(args) -> int:
+def cmd_invder(args) -> Result:
     from .derivations import is_invder
 
     doc = _load(args)
-    alg = doc.algebra
     delta = _required_map(doc, args, "the verdict")
-    verdict = is_invder(delta, alg, _single_op(args))
-    if args.json:
-        payload = {"algebra": alg.name, "map": args.map}
-        payload.update(verdict.to_dict())
-        _emit_json(payload)
-    else:
-        for key, value in verdict.to_dict().items():
-            print(f"{key}: {'yes' if value else 'no'}")
-    return 0 if verdict.accepted else 1
+    verdict = is_invder(delta, doc.algebra, _single_op(args)).to_dict()
+    lines = [f"{key}: {'yes' if value else 'no'}"
+             for key, value in verdict.items()]
+    return (0 if verdict["accepted"] else 1,
+            {"algebra": doc.algebra.name, "map": args.map, **verdict}, lines)
 
 
-def cmd_invder_search(args) -> int:
+def cmd_invder_search(args) -> Result:
     from .derivations import invder_search
 
-    doc = _load(args)
-    alg = doc.algebra
+    alg = _load(args).algebra
     result = invder_search(alg, _single_op(args),
                            coefficient_range=args.range,
                            max_samples=args.samples, seed=args.seed)
-    if args.json:
-        payload = {"algebra": alg.name}
-        payload.update(result.to_dict())
-        _emit_json(payload)
-        return 0 if result.found is not None else 1
+    payload = {"algebra": alg.name, **result.to_dict()}
     if result.found is not None:
-        print(f"found after {result.samples_tried} samples "
-              f"(derivation space dim {result.space_dim}):")
-        for line in _map_lines(result.found, alg):
-            print(line)
-        return 0
+        return 0, payload, [
+            f"found after {result.samples_tried} samples "
+            f"(derivation space dim {result.space_dim}):",
+            *_map_lines(result.found, alg)]
     if result.certificate is not None:
-        print(f"not found: {result.certificate} "
-              "(no invertible derivation exists)")
+        line = (f"not found: {result.certificate} "
+                "(no invertible derivation exists)")
     else:
-        print(f"not found within {result.samples_tried} samples "
-              f"(derivation space dim {result.space_dim})")
-    return 1
+        line = (f"not found within {result.samples_tried} samples "
+                f"(derivation space dim {result.space_dim})")
+    return 1, payload, [line]
 
 
 def _twist(doc: AlgebraDocument, args, kind: str | None, why: str
@@ -281,10 +262,9 @@ def _twist(doc: AlgebraDocument, args, kind: str | None, why: str
         raise NotInvDerError(f"{exc}; rerun with --force to twist anyway")
 
 
-def cmd_twist(args) -> int:
+def cmd_twist(args) -> Result:
     res = _twist(_load(args), args, None, "the twist")
-    head = f"twisted algebra {res.algebra.name} (kind {res.algebra.kind_hint})"
-    return _construction_output(res, args, head)
+    return _construction_output(res, args, "twisted algebra")
 
 
 def _refuse_unread(args, reads, why: str) -> None:
@@ -310,26 +290,22 @@ def _passage(name: str, doc: AlgebraDocument, args,
     return build(doc.algebra, *(given[option] for option in reads))
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> Result:
     res = _passage(args.name, _load(args), args, args.name)
-    head = f"built {res.algebra.name} (kind {res.algebra.kind_hint})"
-    return _construction_output(res, args, head)
+    return _construction_output(res, args, "built")
 
 
-def cmd_rota_baxter(args) -> int:
+def cmd_rota_baxter(args) -> Result:
     from .constructions import is_rota_baxter
 
     doc = _load(args)
     operator = _required_map(doc, args, "the identity")
     weight = parse_rational(args.weight)
     rep = is_rota_baxter(operator, doc.algebra, args.op, weight)
-    if args.json:
-        _emit_json({"algebra": doc.algebra.name, "map": args.map,
-                    "weight": str(weight), "report": rep.to_dict()})
-    else:
-        print(f"weight {weight}:")
-        _print_reports([rep])
-    return 0 if rep.holds else 1
+    payload = {"algebra": doc.algebra.name, "map": args.map,
+               "weight": str(weight), "report": rep.to_dict()}
+    return (0 if rep.holds else 1, payload,
+            [f"weight {weight}:", *_report_lines([rep])])
 
 
 def _theorem_twist(kind: str):
@@ -421,40 +397,31 @@ THEOREMS = {
 THEOREM_NAMES = tuple(THEOREMS)
 
 
-def cmd_verify_theorem(args) -> int:
-    doc = _load(args)
-    ok, payload, reports = THEOREMS[args.name](doc, args)
-    if args.json:
-        data = {"theorem": args.name, "verified": ok}
-        data.update(payload)
-        _emit_json(data)
-    else:
-        _print_reports(reports)
-        print(f"theorem {args.name}: {'verified' if ok else 'refuted'}")
-    return 0 if ok else 1
+def cmd_verify_theorem(args) -> Result:
+    ok, payload, reports = THEOREMS[args.name](_load(args), args)
+    lines = [*_report_lines(reports),
+             f"theorem {args.name}: {'verified' if ok else 'refuted'}"]
+    return (0 if ok else 1,
+            {"theorem": args.name, "verified": ok, **payload}, lines)
 
 
-def cmd_suite(args) -> int:
+def cmd_suite(args) -> Result:
     from .catalog import run_property_suite
 
     report = run_property_suite(seed=args.seed, samples=args.samples)
-    if args.json:
-        sys.stdout.write(report.to_json())
-        return 0 if report.ok else 1
-    print(f"suite seed={report.seed} samples={report.samples}")
-    print(f"entries: {report.entries}")
-    print(f"accepted (algebra, map) pairs: {report.accepted_pairs}")
-    print(f"route agreement instances: {report.prop21_instances}")
     total = sum(slot["instances"] for slot in report.checks.values())
-    print(f"check instances: {total} across {len(report.checks)} checks")
-    print(f"violations: {len(report.violations)}")
-    for row in report.violations:
-        print(f"  {row['entry']} {row['delta']} {row['check']} "
-              f"at {row['indices']}")
-    return 0 if report.ok else 1
+    lines = [f"suite seed={report.seed} samples={report.samples}",
+             f"entries: {report.entries}",
+             f"accepted (algebra, map) pairs: {report.accepted_pairs}",
+             f"route agreement instances: {report.prop21_instances}",
+             f"check instances: {total} across {len(report.checks)} checks",
+             f"violations: {len(report.violations)}"]
+    lines += [f"  {row['entry']} {row['delta']} {row['check']} "
+              f"at {row['indices']}" for row in report.violations]
+    return 0 if report.ok else 1, report.to_dict(), lines
 
 
-def cmd_search_counterexample(args) -> int:
+def cmd_search_counterexample(args) -> Result:
     from .catalog import SearchConfig, counterexample_search
 
     config = SearchConfig(family=args.family, max_dim=args.max_dim,
@@ -462,28 +429,25 @@ def cmd_search_counterexample(args) -> int:
                           max_samples=args.samples, seed=args.seed,
                           tables_per_dim=args.tables_per_dim)
     report = counterexample_search(config)
-    if args.json:
-        sys.stdout.write(report.to_json())
-        return 0 if report.ok else 1
-    print(f"family {config.family}: examined {report.algebras_examined} "
-          f"algebras, {report.candidates_found} twist candidates")
-    for row in report.rows:
-        print(f"  {row['algebra']} dim {row['dim']} "
+    lines = [f"family {config.family}: examined {report.algebras_examined} "
+             f"algebras, {report.candidates_found} twist candidates"]
+    lines += [f"  {row['algebra']} dim {row['dim']} "
               f"derivations {row['derivation_dim']} "
-              f"candidates {row['twisted_candidates']}")
+              f"candidates {row['twisted_candidates']}" for row in report.rows]
     if report.findings:
-        print(f"findings: {len(report.findings)}")
-        for f in report.findings:
-            print(f"  {f['algebra']}: twisted {f['check']} fails at "
-                  f"({', '.join(str(i) for i in f['witness']['indices'])})")
-        return 1
-    print("no findings within bounds "
-          f"(max_dim {config.max_dim}, range {config.coefficient_range}, "
-          f"samples {config.max_samples}, seed {config.seed})")
-    return 0
+        lines.append(f"findings: {len(report.findings)}")
+        lines += [f"  {f['algebra']}: twisted {f['check']} fails at "
+                  f"({', '.join(map(str, f['witness']['indices']))})"
+                  for f in report.findings]
+    else:
+        lines.append(
+            "no findings within bounds "
+            f"(max_dim {config.max_dim}, range {config.coefficient_range}, "
+            f"samples {config.max_samples}, seed {config.seed})")
+    return 0 if report.ok else 1, report.to_dict(), lines
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> Result:
     from .catalog import catalog, entry, verify_entry
 
     entries = list(catalog()) if args.entry is None else [entry(args.entry)]
@@ -494,38 +458,27 @@ def cmd_catalog(args) -> int:
             path = os.path.join(args.dump, f"{e.id}.json")
             save_algebra(e.document, path)
             written.append(path)
-        if args.json:
-            _emit_json({"written": written})
-        else:
-            for path in written:
-                print(f"wrote {path}")
-        return 0
+        return 0, {"written": written}, [f"wrote {p}" for p in written]
     if args.verify:
         all_rows = {e.id: verify_entry(e) for e in entries}
         ok = all(row["ok"] for rows in all_rows.values() for row in rows)
-        if args.json:
-            _emit_json({"ok": ok, "entries": all_rows})
-        else:
-            for entry_id, rows in all_rows.items():
-                bad = [row for row in rows if not row["ok"]]
-                print(f"{entry_id}: {len(rows)} facts, "
-                      f"{len(bad)} mismatches")
-                for row in bad:
-                    print(f"  {row['fact']}: expected {row['expected']}, "
-                          f"derived {row['derived']}")
-        return 0 if ok else 1
-    if args.json:
-        _emit_json({"entries": [
-            {"id": e.id, "dim": e.algebra.dim, "kind": e.algebra.kind_hint,
-             "ops": list(e.algebra.op_names()),
-             "maps": list(e.document.map_names())}
-            for e in entries]})
-    else:
-        for e in entries:
-            kind = e.algebra.kind_hint or "untagged"
-            maps = ", ".join(e.document.map_names()) or "none"
-            print(f"{e.id}: dim {e.algebra.dim}, kind {kind}, maps {maps}")
-    return 0
+        lines = []
+        for entry_id, rows in all_rows.items():
+            bad = [row for row in rows if not row["ok"]]
+            lines.append(f"{entry_id}: {len(rows)} facts, "
+                         f"{len(bad)} mismatches")
+            lines += [f"  {row['fact']}: expected {row['expected']}, "
+                      f"derived {row['derived']}" for row in bad]
+        return 0 if ok else 1, {"ok": ok, "entries": all_rows}, lines
+    payload = {"entries": [
+        {"id": e.id, "dim": e.algebra.dim, "kind": e.algebra.kind_hint,
+         "ops": list(e.algebra.op_names()),
+         "maps": list(e.document.map_names())} for e in entries]}
+    lines = [f"{e.id}: dim {e.algebra.dim}, "
+             f"kind {e.algebra.kind_hint or 'untagged'}, "
+             f"maps {', '.join(e.document.map_names()) or 'none'}"
+             for e in entries]
+    return 0, payload, lines
 
 
 # ------------------------------------------------------------------ parser
@@ -696,7 +649,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if code == 0 and not took else code
     try:
         _reject_empty(args)
-        code = args.handler(args)
+        code, payload, lines = args.handler(args)
+        _render(args, payload, lines)
         # a closed stdout fails here, while the exit code can still say so
         sys.stdout.flush()
         return code

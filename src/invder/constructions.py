@@ -72,6 +72,9 @@ def _resolve_single(alg: Algebra, op_name: str | None) -> str:
 def _kind_op_names(alg: Algebra, kind: str, op_name: str | None) -> list[str]:
     """The operations a structure of this kind is made of."""
     if kind == "dendriform":
+        if op_name is not None:
+            raise InputError(f'kind {kind!r} reads the ops "left" and "right" '
+                             "and takes no op name")
         for name in ("left", "right"):
             alg.op(name)
         return ["left", "right"]

@@ -58,9 +58,6 @@ class Poly(Value):
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, tuple((m, -c) for m, c in self.terms))
 
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
     def __mul__(self, other: "Poly") -> "Poly":
         acc: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms:

@@ -1,11 +1,27 @@
 """Shared fixtures: catalog entries, a fresh catalog, and a directory of
-serialized files."""
+serialized files; and a report hook that keeps a failing hypothesis test
+reportable under -W error."""
 import importlib
+import warnings
 
 import pytest
 
 from invder import LinearMap, catalog, is_invder, save_algebra, twist
 from invder.catalog import _family_algebras
+
+
+@pytest.hookimpl(wrapper=True, tryfirst=True)
+def pytest_runtest_makereport():
+    """Make each report with one DeprecationWarning ignored.  Reporting a
+    failed hypothesis test imports hypothesis.extra._patching, and through
+    it libcst, which calls the deprecated mypy_extensions.TypedDict where
+    that package is installed; under -W error the warning would abort the
+    whole run with INTERNALERROR instead of showing the failing example."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "mypy_extensions.TypedDict is deprecated",
+            DeprecationWarning)
+        return (yield)
 
 
 @pytest.fixture

@@ -136,6 +136,9 @@ class TestSearchConfig:
         monkeypatch.setenv("INVDER_MAX_DIM", "junk")
         with pytest.raises(InputError):
             max_dimension()
+        monkeypatch.setenv("INVDER_MAX_DIM", "0")
+        with pytest.raises(InputError, match="must be positive"):
+            max_dimension()
 
 
 # a hunt with findings: 238 candidates, 13 of whose twists break Jacobi

@@ -9,7 +9,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from invder import load_algebra
+from invder import InvderError, load_algebra
 from invder.cli import PASSAGES, build_parser, main
 
 
@@ -161,6 +161,12 @@ MALFORMED = {
     "name-null": lambda doc: doc.update(name=None),
     "basis-object": lambda doc: doc.update(
         basis={"e1": 0, "e2": 1, "e3": 2}),
+    "dendriform-without-left-right": lambda doc: doc.update(
+        kind="dendriform"),
+    "lie-with-two-operations": lambda doc: doc["operations"].update(
+        other={"table": []}),
+    # a mutation that returns a document replaces the whole file
+    "top-level-not-object": lambda doc: [doc],
 }
 
 
@@ -172,9 +178,9 @@ def test_malformed_file_is_an_input_error(capsys, tmp_path, mutate):
                {"i": 0, "j": 1, "v": [["1", 2]]}]}},
            "maps": {"delta_w": [["1", "3", "0"], ["-1", "1", "0"],
                                 ["0", "0", "2"]]}}
-    mutate(doc)
+    replacement = mutate(doc)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(doc if replacement is None else replacement))
     code, _, err = run(capsys, "check", str(bad))
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
@@ -189,17 +195,21 @@ def test_deeply_nested_file_is_an_input_error(capsys, tmp_path):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_crash_exits_three_not_one(capsys, algebra_dir, monkeypatch):
+@pytest.mark.parametrize("exc, code, line", [
+    (RuntimeError("simulated defect\nsecond line"), 3,
+     "internal error: RuntimeError: simulated defect second line\n"),
+    # an internal cross-check that refutes itself is a verdict, not a crash
+    (InvderError("routes disagree"), 1, "refuted: routes disagree\n"),
+], ids=["defect", "refuted"])
+def test_crash_exits_three_not_one(capsys, algebra_dir, monkeypatch, exc,
+                                   code, line):
     import invder.cli
 
     def boom(args):
-        raise RuntimeError("simulated defect\nsecond line")
+        raise exc
 
     monkeypatch.setattr(invder.cli, "cmd_check", boom)
-    code, out, err = run(capsys, "check", path(algebra_dir, "so3"))
-    assert code == 3
-    assert out == ""
-    assert err == "internal error: RuntimeError: simulated defect second line\n"
+    assert run(capsys, "check", path(algebra_dir, "so3")) == (code, "", line)
 
 
 def test_dimension_cap_applies_to_every_file_command(capsys, algebra_dir,
@@ -353,6 +363,10 @@ class TestTwist:
         assert data["algebra"]["kind"] == "lie"
 
 
+DENDRIFORM_OP = ("error: kind 'dendriform' reads the ops \"left\" and "
+                 "\"right\" and takes no op name\n")
+
+
 class TestTransform:
     def test_commutator(self, capsys, algebra_dir, tmp_path):
         out_file = str(tmp_path / "comm.json")
@@ -436,6 +450,14 @@ class TestTransform:
          "error: the equivalence does not take --operator\n"),
         (("verify-theorem", "prop-2.1", "--map", "delta_w", "--force"),
          "heisenberg3", "error: the equivalence does not take --force\n"),
+        # a dendriform twist reads "left" and "right", never an op name
+        # (the file goes after the first two words, so twist's --op first)
+        (("twist", "--op=nope", "--map", "delta_A"), "a3_dendriform",
+         DENDRIFORM_OP),
+        (("verify-theorem", "thm-4-dendriform", "--map", "delta_A", "--op",
+          "nope"), "a3_dendriform", DENDRIFORM_OP),
+        (("verify-theorem", "cor-yau", "--map", "delta_A", "--op", "nope"),
+         "a3_dendriform", DENDRIFORM_OP),
     ])
     def test_unread_option_is_refused(self, capsys, algebra_dir, argv,
                                       entry_id, line):
