@@ -156,6 +156,9 @@ def _construction_output(res: ConstructionResult, args, what: str) -> Result:
              *_report_lines(res.verification),
              *(f"note: {note}" for note in res.notes)]
     if args.output is not None:
+        if os.path.exists(args.output) and os.path.samefile(args.output,
+                                                            args.file):
+            raise InputError(f"-o {args.output} names the input file")
         save_algebra(res.to_document(), args.output)
         lines.append(f"wrote {args.output}")
     return 0 if res.ok else 1, res.to_dict(), lines

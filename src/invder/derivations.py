@@ -29,7 +29,7 @@ from .axioms import (CheckReport, _first_failure, identity_report,
                      leibniz_witness)
 from .errors import (InputError, InvderError, NotInvDerError,
                      SingularMatrixError)
-from .linalg import Matrix, Value, Vector, _set, solve
+from .linalg import Matrix, Value, Vector, _set
 from .model import Algebra, BilinearOp, LinearMap
 from .rational import Q
 
@@ -117,17 +117,18 @@ class DerivationSpace(Value):
         return cached
 
     def coordinates_of(self, candidate: LinearMap) -> Vector | None:
-        """Coordinates of a map in this basis, or None when outside the span."""
-        n = self.algebra.dim
-        if candidate.dim != n:
+        """Coordinates of a map in this basis, or None when outside the span.
+
+        Each canonical basis map is 1 at its free cell, its last nonzero
+        one, where the others are 0, so coordinate t is the map's entry at
+        basis map t's free cell; the map is in the span when they give it.
+        """
+        if candidate.dim != self.algebra.dim:
             raise InputError("map dimension does not match algebra dimension")
-        if self.dim == 0:
-            return Vector(()) if candidate.matrix.is_zero() else None
-        cols = [b.lean_entries() for b in self.basis]
-        system = Matrix(n * n, self.dim,
-                        tuple(cols[t][e] for e in range(n * n)
-                              for t in range(self.dim)))
-        return solve(system, Vector(candidate.matrix.entries))
+        entries = candidate.matrix.entries
+        coords = tuple(entries[cells[-1][0]] for cells in self._cells()[0])
+        in_span = self.combination(coords) == candidate
+        return Vector(coords) if in_span else None
 
     def to_dict(self) -> dict:
         return {"dim": self.dim,

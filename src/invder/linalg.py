@@ -7,15 +7,17 @@ scalars (rational.lean: an int where the entry is integral), are built
 only where they are read.
 
 Everything here is small and dense: the algebras this package handles live
-in dimension six or less, so the solvers favour a canonical, reproducible
-answer over asymptotic cleverness.  Reduced row echelon form always chooses
-the leftmost available pivot, pivots are normalised to one, and kernel bases
+in dimension six or less, so the eliminations favour a canonical,
+reproducible answer over asymptotic cleverness.  There are two of them.
+Reduced row echelon form, behind rank and kernel, always chooses the
+leftmost available pivot, pivots are normalised to one, and kernel bases
 enumerate free columns in ascending order with each free variable set to one
-in turn.  Two runs on equal input produce bit-equal output.  Every
-elimination is fraction-free on the integer numerators: rref scales rows by
-integers and divides by a pivot only when it writes the reduced form, and
-determinants and inverses, which are unique, come from one Bareiss
-elimination, so they cost integer arithmetic only.
+in turn, so a kernel vector's free column is its last nonzero entry.  Two
+runs on equal input produce bit-equal output.  Both eliminations are
+fraction-free on the integer numerators: rref scales rows by integers and
+divides by a pivot only when it writes the reduced form, and determinants
+and inverses, which are unique, come from one Bareiss elimination, so they
+cost integer arithmetic only.
 
 The value types of the package, Matrix and Vector here and the
 operations, maps, algebras, reports and verdicts built on them, are
@@ -226,12 +228,6 @@ class Matrix(Value):
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> Vector:
-        return Vector(self.entries[i * self.cols:(i + 1) * self.cols])
-
-    def column(self, j: int) -> Vector:
-        return Vector(tuple(self.entry(i, j) for i in range(self.rows)))
-
     def row_lists(self) -> list[list[Fraction]]:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]
@@ -420,23 +416,3 @@ def _fraction_free(rows: list[list[int]], n: int) -> tuple[int, int] | None:
                 rows[i] = [a * pivot // prev for a in row]
         prev = pivot
     return sign, prev
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of A x = b; None when the system is inconsistent.
-
-    The solution sets every free variable to zero, so the answer is
-    canonical and reproducible.
-    """
-    if a.rows != len(b):
-        raise InputError(f"system shape mismatch: {a.rows} rows vs {len(b)} rhs")
-    aug = Matrix(a.rows, a.cols + 1,
-                 tuple(v for i in range(a.rows)
-                       for v in (*a.row(i).entries, b[i])))
-    reduced, pivots = aug.rref()
-    if pivots and pivots[-1] == a.cols:
-        return None
-    x = [ZERO] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.entry(r, a.cols)
-    return Vector(tuple(x))

@@ -240,6 +240,33 @@ def test_empty_output_path_is_an_input_error(capsys, algebra_dir, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("entry_id,argv", [
+    ("heisenberg3", ("twist", "in.json", "--map", "delta_w")),
+    ("a3", ("transform", "commutator-lie", "in.json")),
+], ids=["twist", "transform"])
+@pytest.mark.parametrize("spelling", ["in.json", "./in.json", "link.json",
+                                      "abs"])
+def test_output_naming_the_input_is_an_input_error(capsys, algebra_dir,
+                                                   tmp_path, monkeypatch,
+                                                   entry_id, argv, spelling):
+    monkeypatch.chdir(tmp_path)
+    with open(path(algebra_dir, entry_id), "rb") as fh:
+        before = fh.read()
+    (tmp_path / "in.json").write_bytes(before)
+    (tmp_path / "link.json").symlink_to(tmp_path / "in.json")
+    target = str(tmp_path / "in.json") if spelling == "abs" else spelling
+    code, out, err = run(capsys, *argv, "-o", target)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert (tmp_path / "in.json").read_bytes() == before
+    # a fresh path beside it is still written
+    code, out, _ = run(capsys, *argv, "-o", "fresh.json")
+    assert code == 0 and out.endswith("wrote fresh.json\n")
+    assert load_algebra("fresh.json").algebra.name != \
+        load_algebra("in.json").algebra.name
+
+
 @pytest.mark.parametrize("argv", [
     ("catalog", "--entry", ""),
     ("catalog", "--entry", "", "--verify"),

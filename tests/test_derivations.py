@@ -1,4 +1,5 @@
 """Derivation spaces, InvDer verdicts, bounded search."""
+import functools
 import random
 from fractions import Fraction as Q
 
@@ -13,6 +14,8 @@ from invder import (Algebra, BilinearOp, InvDerAlgebra, LinearMap, axioms,
 from invder.catalog import SearchConfig, _family_algebras
 from invder.errors import InputError, NotInvDerError
 from invder.linalg import Matrix
+from invder.model import FAMILIES
+from test_basis_change import move_algebra, unimodular
 
 
 class TestDerivationSpace:
@@ -103,6 +106,71 @@ class TestDerivationSpace:
         assert data["dim"] == 2
         assert data["ops"] == ["bracket"]
         assert len(data["basis"]) == 2
+
+
+@functools.cache
+def spaces():
+    """The derivation spaces of the catalog and of the search families up
+    to dimension five, each also moved to two seeded bases."""
+    algebras = [e.algebra for e in catalog()] + [
+        alg for family in FAMILIES for alg in _family_algebras(SearchConfig(
+            family, max_dim=5, tables_per_dim=3))[0]]
+    moved = []
+    for alg in algebras:
+        for seed in range(2):
+            p = unimodular(random.Random(f"coords:{alg.name}:{seed}"),
+                           alg.dim)
+            moved.append(move_algebra(alg, p, p.invert()))
+    return [derivation_space(alg) for alg in algebras + moved]
+
+
+coefficient = st.one_of(st.integers(-3, 3),
+                        st.fractions(-3, 3, max_denominator=4))
+
+
+class TestCoordinates:
+    """coordinates_of reads each coordinate off its basis map's free cell."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_coordinates_of_a_combination_are_its_coefficients(self, data):
+        space = data.draw(st.sampled_from(spaces()))
+        coeffs = data.draw(st.lists(coefficient, min_size=space.dim,
+                                    max_size=space.dim))
+        coords = space.coordinates_of(space.combination(coeffs))
+        assert coords is not None and coords.entries == tuple(coeffs)
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_outside_the_span_exactly_when_not_a_derivation(self, data):
+        # a combination with sparse integer noise added: the Leibniz rows,
+        # not the kernel basis, decide whether the sum is a derivation
+        space = data.draw(st.sampled_from(spaces()))
+        n = space.algebra.dim
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=space.dim,
+                                    max_size=space.dim))
+        noise = data.draw(st.dictionaries(st.integers(0, n * n - 1),
+                                          st.integers(-2, 2), max_size=2))
+        base = space.combination(coeffs).matrix
+        m = LinearMap(Matrix(n, n, [a + noise.get(e, 0) for e, a in
+                                    enumerate(base.entries)]))
+        coords = space.coordinates_of(m)
+        assert (coords is None) == \
+            (not is_derivation(m, space.algebra).holds)
+        if coords is not None:
+            assert space.combination(coords.entries) == m
+
+    def test_reading_coordinates_runs_no_elimination(self, monkeypatch):
+        space = derivation_space(entry("heisenberg3").algebra)
+        inside = space.combination([1, -2, 0, 3, 5, -1])
+
+        def eliminate(*args):
+            raise AssertionError("coordinates_of ran an elimination")
+
+        for name in ("rref", "kernel"):
+            monkeypatch.setattr(Matrix, name, eliminate)
+        assert space.coordinates_of(inside).entries == (1, -2, 0, 3, 5, -1)
+        assert space.coordinates_of(LinearMap.identity(3)) is None
 
 
 class TestIsInvder:
