@@ -15,7 +15,11 @@ rule op(a, b) = -op(b, a).  Its first violation is the first of the walk
 over every tuple.  A subterm on basis vectors alone, such as [y, z] or
 delta x, is read off the operation's index of basis products or the
 map's columns, so it costs no product at all; every other subterm is
-evaluated once per walked tuple, however often the row repeats it.
+evaluated at most once per walked tuple, however often the row repeats
+it.  A product or map image with an empty operand, a sum whose parts are
+all empty and an empty side are the shared empty product, with no kernel
+called; on the catalog's nilpotent, sparse tables most products have an
+empty operand.
 Verdicts are computed from the structure constants themselves; a kind
 hint on the algebra is never trusted.  The Leibniz rule is decided by its
 row compiled into integer rows over the map's entries (Identity.linear_rows,
@@ -36,7 +40,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 
-from .errors import InputError
+from .errors import InputError, InvderError
 from .linalg import Value, Vector, _set
 from .model import KINDS, Algebra, BilinearOp, LinearMap, sparse_to_vector
 
@@ -150,8 +154,11 @@ class Identity:
         variables and a map of one are reads, an index into the
         operation's index of basis products or the map's columns; a
         variable that anything else takes is its unit vector.  Every line
-        runs on every tuple.  The operations and maps are looked up on
-        every call, so the function is shared by every scan of the row.
+        runs on every tuple, but a product or an image with an empty
+        operand, and a sum whose parts are all empty, calls no kernel and
+        takes the shared empty product NO instead; an empty side is NO.
+        The operations and maps are looked up on every call, so the
+        function is shared by every scan of the row.
         """
         bound: dict[str, str] = {}
         lines: dict[str, str] = {}  # expression -> the local name it sets
@@ -160,8 +167,12 @@ class Identity:
             if t.head in VARIABLES:
                 expr = f"units[{t.head}]"
             elif t.head == "+":
+                if not t.args:
+                    return "NO"
+                parts = [(c, visit(a)) for c, a in t._signed()]
                 expr = "signed((" + "".join(
-                    f"({c}, {visit(a)}), " for c, a in t._signed()) + "))"
+                    f"({c}, {a}), " for c, a in parts) + ")) if " \
+                    + " or ".join(a for _, a in parts) + " else NO"
             else:
                 read = all(a.head in VARIABLES for a in t.args)
                 source, name, form = _STEP_CODE[len(t.args) == 1, read]
@@ -218,12 +229,15 @@ class Identity:
 
 # how a compiled row writes a map or operation subterm, keyed (is a map, is
 # a read): what it binds once per call, under which local name, and the
-# expression on that name and the subterm's arguments
+# expression on that name and the subterm's arguments; a kernel is called
+# only on nonempty operands, and NO stands for its zero result otherwise
 _STEP_CODE = {
     (True, True): ("maps[{0!r}].columns()", "cols_{0}", "{0}[{1}]"),
-    (True, False): ("maps[{0!r}].apply_sparse", "apply_{0}", "{0}({1})"),
+    (True, False): ("maps[{0!r}].apply_sparse", "apply_{0}",
+                    "{0}({1}) if {1} else NO"),
     (False, True): ("ops[{0!r}]._index()", "index_{0}", "{0}[{1}].get({2}, NO)"),
-    (False, False): ("ops[{0!r}].mul_sparse", "mul_{0}", "{0}({1}, {2})"),
+    (False, False): ("ops[{0!r}].mul_sparse", "mul_{0}",
+                     "{0}({1}, {2}) if {1} and {2} else NO"),
 }
 
 
@@ -513,8 +527,9 @@ class CheckReport(Value):
 # ---------------------------------------------------------------- the scan
 
 
-# the product of a basis pair absent from an operation's index; like the
-# index itself it is only ever read
+# the product of a basis pair absent from an operation's index, and the
+# value of every compiled line with a zero operand and of an empty side;
+# like the index itself it is only ever read
 _NO_PRODUCT: dict = {}
 
 
@@ -605,7 +620,9 @@ def leibniz_witness(op: BilinearOp, delta: LinearMap) -> Witness | None:
     The pair is the first one with a row of op.leibniz(), the leibniz row
     compiled by Identity.linear_rows, that does not vanish on delta's integer
     numerators, which are delta times its denominator.  The leibniz row of
-    the scan then builds the witness on that pair alone.
+    the scan then builds the witness on that pair alone; should that scan
+    find the pair holding, the two routes disagree, which is a defect of
+    this package, and InvderError says so.
     """
     if delta.dim != op.dim:
         raise InputError("map dimension does not match operation dimension")
@@ -613,8 +630,14 @@ def leibniz_witness(op: BilinearOp, delta: LinearMap) -> Witness | None:
     for pair, rows in op.leibniz():
         for cells, coeffs in rows:
             if sum(map(mul, coeffs, map(flat.__getitem__, cells))):
-                return _scan(IDENTITIES["leibniz"], op.dim, {"op": op},
-                             {"d": delta}, tuples=(pair,))
+                witness = _scan(IDENTITIES["leibniz"], op.dim, {"op": op},
+                                {"d": delta}, tuples=(pair,))
+                if witness is None:
+                    raise InvderError(
+                        "internal inconsistency: a compiled Leibniz row "
+                        f"rejects the pair {pair} that the leibniz scan "
+                        "accepts")
+                return witness
     return None
 
 

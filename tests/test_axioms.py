@@ -9,7 +9,7 @@ from invder import (AXIOM_IDS, DELTA_AXIOMS, Algebra, BilinearOp, LinearMap,
                     is_invder, kind_axioms, kinds_satisfied, leibniz_witness,
                     run_axiom)
 from invder.axioms import IDENTITIES, _scan
-from invder.errors import InputError
+from invder.errors import InputError, InvderError
 
 
 def broken_so3():
@@ -84,6 +84,23 @@ class TestDeltaAxioms:
         assert leibniz_witness(alg.op(), LinearMap.identity(3)) is not None
         with pytest.raises(InputError):
             run_axiom(alg, "identity_25", None, LinearMap.identity(3))
+
+    def test_leibniz_routes_that_disagree_are_an_internal_error(
+            self, monkeypatch):
+        # the compiled rows reject the identity on so3; a scan of the
+        # leibniz row that finds the rejected pair holding contradicts them,
+        # which must not read as "is a derivation"
+        import invder.axioms as axioms
+        scanned = []
+
+        def holding(row, *args, **kwargs):
+            scanned.append((row.id, kwargs["tuples"]))
+            return None
+
+        monkeypatch.setattr(axioms, "_scan", holding)
+        with pytest.raises(InvderError, match="internal inconsistency"):
+            leibniz_witness(entry("so3").algebra.op(), LinearMap.identity(3))
+        assert scanned == [("leibniz", ((0, 1),))]
 
     def test_accepted_map_satisfies_its_kind_identities(self):
         e = entry("heisenberg3")
@@ -214,14 +231,21 @@ class TestTable:
         op = entry("abelian_3").algebra.op()
         assert _scan(IDENTITIES["associativity"], 3, {"op": op}, {},
                      tuples=product(range(3), repeat=3)) is None
-        # (x y) z and x (y z) once per triple; x y and y z are products of
-        # basis vectors, read off the index with no product computed
-        assert len(calls) == 2 * 27
-        calls.clear()
+        # x y and y z are products of basis vectors, read off the index
+        # with no product computed; on the zero product both are empty, so
+        # (x y) z and x (y z) are skipped on every triple
+        assert len(calls) == 0
         # the zero product is skew, so the orbit walk takes the 9 triples
-        # with x < z
+        # with x < z, and skips both products on each
         assert run_axiom(entry("abelian_3").algebra, "associativity").holds
-        assert len(calls) == 2 * 9
+        assert len(calls) == 0
+        # on heisenberg3, [e0, e1] = -[e1, e0] = e2 and every other basis
+        # product is zero: (x y) z is computed on the 2 * 3 triples with
+        # x y nonzero, x (y z) on the 2 * 3 with y z nonzero, once each
+        op = entry("heisenberg3").algebra.op()
+        assert _scan(IDENTITIES["associativity"], 3, {"op": op}, {},
+                     tuples=product(range(3), repeat=3)) is None
+        assert len(calls) == 2 * 6
 
     def test_proper_map_subterms_are_applied_on_every_tuple(
             self, fresh_catalog, monkeypatch):
@@ -237,13 +261,17 @@ class TestTable:
         op, delta = e.algebra.op(), e.document.map("delta_w")
         assert _scan(IDENTITIES["identity_25"], 3, {"op": op}, {"d": delta},
                      tuples=product(range(3), repeat=3)) is None
-        # d(op(y, z)), d(op(z, x)) and d(op(x, y)) once per triple each;
-        # the images d(x), d(y), d(z) are columns, read with no product
-        assert len(calls) == 3 * 27
+        # d(op(y, z)), d(op(z, x)) and d(op(x, y)) once per triple each
+        # where the bracket is nonzero: [e0, e1] and [e1, e0] are the
+        # nonzero ones, so each is applied on 2 * 3 triples and skipped on
+        # the other 21; the images d(x), d(y), d(z) are columns, read with
+        # no product
+        assert len(calls) == 3 * 6
         calls.clear()
-        # on the skew bracket the orbit walk takes the one triple x < y < z
+        # on the skew bracket the orbit walk takes the one triple x < y < z,
+        # (0, 1, 2), where only d([e0, e1]) has a nonzero operand
         assert run_axiom(e.algebra, "identity_25", None, delta).holds
-        assert len(calls) == 3 * 1
+        assert len(calls) == 1
 
     def test_lie_bundle_scans_skew_symmetry_once(self, monkeypatch):
         import invder.axioms as axioms
@@ -263,8 +291,9 @@ class TestTable:
         kind_axioms(entry("abelian_3").algebra, "lie")
         assert scanned == ["skew_symmetry", "jacobi"]
         # skew symmetry reads basis products only; Jacobi: the one triple
-        # i < j < k, whose 3 inner products are read and 3 outer computed
-        assert len(calls) == 3
+        # i < j < k, whose 3 inner products are read, all zero, so its 3
+        # outer products are skipped
+        assert len(calls) == 0
 
     def test_alternating_rows_read_skew_symmetry_off_the_operation(
             self, monkeypatch):

@@ -427,8 +427,8 @@ def test_hunt_scans_skew_symmetry_once_per_table_and_twist(monkeypatch):
 
 def test_hunt_decides_the_leibniz_rule_by_rows(monkeypatch):
     """The Leibniz rule costs no products, nor does a product of two basis
-    vectors; the square condition, the twisted kind axioms and the
-    witnesses make all of these."""
+    vectors, nor one with a zero operand; the square condition, the
+    twisted kind axioms and the witnesses make all of these."""
     calls = []
     original = BilinearOp.mul_sparse
 
@@ -440,4 +440,32 @@ def test_hunt_decides_the_leibniz_rule_by_rows(monkeypatch):
     report = counterexample_search(SearchConfig(
         "random_nilpotent_tables", max_dim=4, max_samples=8, seed=1))
     assert report.candidates_found == 73
-    assert len(calls) == 1419
+    # the products with an empty operand, such as d(x) (y z) on a zero
+    # basis product y z or d(x) d(y) on a zero column of delta, are skipped
+    assert len(calls) == 769
+
+
+def test_no_kernel_is_called_on_a_zero_operand(monkeypatch):
+    """A compiled row takes the shared empty product for a product or an
+    image with an empty operand instead of calling a kernel; the
+    witnesses that hold that dict leave it empty."""
+    import invder.axioms as axioms
+    calls = []
+    mul, apply = BilinearOp.mul_sparse, LinearMap.apply_sparse
+
+    def counted_mul(op, x, y):
+        calls.append((x, y))
+        return mul(op, x, y)
+
+    def counted_apply(m, x):
+        calls.append((x,))
+        return apply(m, x)
+
+    monkeypatch.setattr(BilinearOp, "mul_sparse", counted_mul)
+    monkeypatch.setattr(LinearMap, "apply_sparse", counted_apply)
+    assert not run_property_suite(seed=0, samples=1).violations
+    report = counterexample_search(SearchConfig(
+        "random_nilpotent_tables", max_dim=4, max_samples=8, seed=1))
+    assert report.candidates_found
+    assert calls and all(all(operands) for operands in calls)
+    assert axioms._NO_PRODUCT == {}

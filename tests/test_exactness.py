@@ -896,6 +896,71 @@ class TestOrbitWalk:
         assert_caches_untouched(ops.values(), maps.values())
 
 
+@st.composite
+def triangular_tables_of(draw, n):
+    """Strictly triangular tables: e_i e_j in the span of the e_k with
+    k > max(i, j), so most products of three basis vectors vanish."""
+    table = {(i, j): {k: draw(values) for k in range(max(i, j) + 1, n)}
+             for i in range(n) for j in range(n)}
+    return BilinearOp.from_dict(n, table)
+
+
+@st.composite
+def zero_heavy(draw):
+    """An operation, a dendriform pair and a map, with many empty
+    products and images: the zero operation with any map, any table with
+    the zero map, or a strictly triangular table with any map or one of
+    its derivations; the pair has the zero operation for one half."""
+    n = draw(st.integers(1, 3))
+    how = draw(st.sampled_from(("zero op", "zero map", "triangular")))
+    zero = BilinearOp.from_dict(n, {})
+    some_op = st.one_of(tables_of(n), sparse_tables_of(n),
+                        triangular_tables_of(n))
+    if how == "zero op":
+        op, d = zero, draw(square_maps(n))
+    elif how == "zero map":
+        op, d = draw(some_op), LinearMap.zero(n)
+    else:
+        op = draw(triangular_tables_of(n))
+        d = draw(leibniz_candidates(op))
+    half = draw(some_op)
+    pair = (half, zero) if draw(st.booleans()) else (zero, half)
+    return op, pair, d
+
+
+# strictly triangular in dimension 4, where a product of three basis
+# vectors need not vanish
+FILIFORM = entry("filiform_n4").algebra.op()
+
+
+class TestZeroOperands:
+    """A compiled row takes the shared empty product where an operand is
+    empty; on inputs where most are, every row still gives the witness of
+    the dense evaluation."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(zero_heavy())
+    @example((FILIFORM, (BilinearOp.from_dict(4, {}), FILIFORM),
+              entry("filiform_n4").document.map("grading")))
+    @example((FILIFORM, (FILIFORM, BilinearOp.from_dict(4, {})),
+              LinearMap.zero(4)))
+    def test_every_row_matches_plain_fractions(self, case):
+        op, pair, d = case
+        n = op.dim
+        maps = {"d": d, "R": d, "P": d,
+                "lam": LinearMap.identity(n).scale(Q(1, 2))}
+        for row in IDENTITIES.values():
+            ops = {"op": op} if row.ops == {"op"} \
+                else dict(zip(("left", "right"), pair))
+            used = {k: v for k, v in maps.items() if k in row.maps}
+            want = ref_witness(row.id, ops, used)
+            assert as_tuple(_scan(row, n, ops, used)) == want, row.id
+        assert as_tuple(leibniz_witness(op, d)) \
+            == ref_witness("leibniz", {"op": op}, {"d": d})
+        assert_caches_untouched([op, *pair], [d])
+
+
 class TestMirroredCompositions:
     """twist is written through apply_sparse; it is checked against its
     definition."""
