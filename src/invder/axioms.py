@@ -646,9 +646,9 @@ def leibniz_witness(op: BilinearOp, delta: LinearMap) -> Witness | None:
 
 def run_axiom(alg: Algebra, axiom: str, op_name: str | None = None,
               delta: LinearMap | None = None) -> CheckReport:
-    """Run one axiom row by identifier, on the operation op_name selects
-    or, for a dendriform row, which takes no op_name, on the pair "left"
-    and "right".
+    """Run one axiom row by identifier, on the operations Algebra.select
+    picks for it: the one op_name names, else the only one, or for a
+    dendriform row, which takes no op_name, the pair "left" and "right".
     """
     row = IDENTITIES.get(axiom)
     if row is None or not row.axiom:
@@ -660,15 +660,8 @@ def run_axiom(alg: Algebra, axiom: str, op_name: str | None = None,
         if delta.dim != alg.dim:
             raise InputError("map dimension does not match algebra dimension")
         maps["d"] = delta
-    if "op" in row.ops:
-        ops = {"op": alg.op(op_name)}
-    elif op_name is not None:
-        raise InputError(f'axiom {axiom!r} reads the ops "left" and "right" '
-                         "and takes no op name")
-    elif {"left", "right"} <= set(alg.op_names()):
-        ops = {"left": alg.op("left"), "right": alg.op("right")}
-    else:
-        raise InputError('dendriform checks need ops named "left" and "right"')
+    ops = {"op": alg.op(op_name)} if "op" in row.ops \
+        else alg.select(op_name, f"axiom {axiom!r}")
     if row.needs_derivation and leibniz_witness(ops["op"], delta) is not None:
         raise InputError(f"{axiom} requires delta to be a derivation")
     witness = _scan(row, alg.dim, ops, maps)

@@ -21,7 +21,7 @@ from .derivations import derivation_space, invder_search, is_invder
 from .errors import InputError, InvderError
 from .linalg import Value, _set
 from .model import (FAMILIES, Algebra, AlgebraDocument, BilinearOp, LinearMap,
-                    max_dimension)
+                    max_dimension, skew_completion)
 from .rational import Q
 
 SEARCH_SEED = 0
@@ -511,13 +511,6 @@ class SearchReport(Value):
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
-def _skew_table(pairs: dict) -> dict:
-    full = dict(pairs)
-    for (i, j), entry_ in pairs.items():
-        full[(j, i)] = {k: -c for k, c in entry_.items()}
-    return full
-
-
 def _family_algebras(config: SearchConfig) -> tuple[list[Algebra], int]:
     algebras: list[Algebra] = []
     rejected = 0
@@ -527,23 +520,23 @@ def _family_algebras(config: SearchConfig) -> tuple[list[Algebra], int]:
                                           {"bracket": _op(d, {})}, "lie"))
     elif config.family == "heisenberg_like":
         for d in range(3, config.max_dim + 1):
-            pairs = {(2 * t, 2 * t + 1): {d - 1: 1}
+            pairs = {(2 * t, 2 * t + 1): [(d - 1, 1)]
                      for t in range((d - 1) // 2)}
             algebras.append(Algebra.build(
                 f"heisenberg_like_{d}", _labels(d),
-                {"bracket": _op(d, _skew_table(pairs))}, "lie"))
+                {"bracket": _op(d, skew_completion(pairs))}, "lie"))
     elif config.family == "filiform":
         for d in range(3, config.max_dim + 1):
-            pairs = {(0, i): {i + 1: 1} for i in range(1, d - 1)}
+            pairs = {(0, i): [(i + 1, 1)] for i in range(1, d - 1)}
             algebras.append(Algebra.build(
                 f"filiform_{d}", _labels(d),
-                {"bracket": _op(d, _skew_table(pairs))}, "lie"))
+                {"bracket": _op(d, skew_completion(pairs))}, "lie"))
     elif config.family == "solvable":
         for d in range(2, config.max_dim + 1):
-            pairs = {(0, i): {i: 1} for i in range(1, d)}
+            pairs = {(0, i): [(i, 1)] for i in range(1, d)}
             algebras.append(Algebra.build(
                 f"solvable_{d}", _labels(d),
-                {"bracket": _op(d, _skew_table(pairs))}, "lie"))
+                {"bracket": _op(d, skew_completion(pairs))}, "lie"))
     else:
         for d in range(3, config.max_dim + 1):
             rng = random.Random(f"{config.seed}:tables:{d}")
@@ -556,14 +549,14 @@ def _family_algebras(config: SearchConfig) -> tuple[list[Algebra], int]:
                 pairs = {}
                 for i in range(d):
                     for j in range(i + 1, d):
-                        entry_ = {k: c for k in range(j + 1, d)
+                        entry_ = [(k, c) for k in range(j + 1, d)
                                   if (c := rng.choice(
-                                      (0, 0, 0, 0, 0, 1, -1, 2, -2)))}
+                                      (0, 0, 0, 0, 0, 1, -1, 2, -2)))]
                         if entry_:
                             pairs[(i, j)] = entry_
-                cand = Algebra.build(f"random_{d}_{kept}", _labels(d),
-                                     {"bracket": _op(d, _skew_table(pairs))},
-                                     "lie")
+                cand = Algebra.build(
+                    f"random_{d}_{kept}", _labels(d),
+                    {"bracket": _op(d, skew_completion(pairs))}, "lie")
                 if run_axiom(cand, "jacobi").holds:
                     algebras.append(cand)
                     kept += 1

@@ -6,7 +6,9 @@ mathematical check failed (a verdict, not an error), 2 on bad input,
 bad usage, a failed construction precondition or an output that cannot
 be written (a closed pipe included), and 3 when the program
 itself failed unexpectedly (a bug, never a verdict).  Every algebra file
-is held to the INVDER_MAX_DIM dimension cap.  Results go to stdout,
+is read by model.load_algebra, which holds it to the INVDER_MAX_DIM
+dimension cap before it parses any table or map.  Which operations a
+command reads is Algebra.select's rule.  Results go to stdout,
 diagnostics to stderr.  With identical arguments, input files and seeds
 the output bytes are identical; no command ever modifies its input file.
 
@@ -29,7 +31,7 @@ import sys
 from .errors import (InputError, InvderError, NotInvDerError,
                      PreconditionError, SingularMatrixError)
 from .model import (FAMILIES, Algebra, AlgebraDocument, LinearMap,
-                    load_algebra, max_dimension, save_algebra)
+                    load_algebra, save_algebra)
 from .rational import parse_rational
 
 # the annotations, never evaluated, also name CheckReport and
@@ -105,17 +107,6 @@ def _report_lines(reports: list[CheckReport]) -> list[str]:
     return lines
 
 
-def _load(args) -> AlgebraDocument:
-    """The command's algebra file, refused above the dimension cap."""
-    doc = load_algebra(args.file)
-    cap = max_dimension()
-    if doc.algebra.dim > cap:
-        raise InputError(
-            f"algebra dimension {doc.algebra.dim} exceeds the dimension cap "
-            f"{cap} (INVDER_MAX_DIM)")
-    return doc
-
-
 def _single_op(args) -> list[str] | None:
     return None if args.op is None else [args.op]
 
@@ -170,7 +161,7 @@ def _construction_output(res: ConstructionResult, args, what: str) -> Result:
 def cmd_check(args) -> Result:
     from .axioms import AXIOM_IDS, BUNDLES, DELTA_AXIOMS, run_axiom
 
-    doc = _load(args)
+    doc = load_algebra(args.file)
     alg = doc.algebra
     if args.axiom is None:
         if alg.kind_hint is None:
@@ -211,7 +202,7 @@ def cmd_check(args) -> Result:
 def cmd_derivations(args) -> Result:
     from .derivations import derivation_space
 
-    alg = _load(args).algebra
+    alg = load_algebra(args.file).algebra
     space = derivation_space(alg, _single_op(args))
     lines = [f"derivation space of {alg.name} "
              f"(ops: {', '.join(space.op_names)}): dim {space.dim}"]
@@ -223,7 +214,7 @@ def cmd_derivations(args) -> Result:
 def cmd_invder(args) -> Result:
     from .derivations import is_invder
 
-    doc = _load(args)
+    doc = load_algebra(args.file)
     delta = _required_map(doc, args, "the verdict")
     verdict = is_invder(delta, doc.algebra, _single_op(args)).to_dict()
     lines = [f"{key}: {'yes' if value else 'no'}"
@@ -235,7 +226,7 @@ def cmd_invder(args) -> Result:
 def cmd_invder_search(args) -> Result:
     from .derivations import invder_search
 
-    alg = _load(args).algebra
+    alg = load_algebra(args.file).algebra
     result = invder_search(alg, _single_op(args),
                            coefficient_range=args.range,
                            max_samples=args.samples, seed=args.seed)
@@ -266,7 +257,7 @@ def _twist(doc: AlgebraDocument, args, kind: str | None, why: str
 
 
 def cmd_twist(args) -> Result:
-    res = _twist(_load(args), args, None, "the twist")
+    res = _twist(load_algebra(args.file), args, None, "the twist")
     return _construction_output(res, args, "twisted algebra")
 
 
@@ -294,14 +285,14 @@ def _passage(name: str, doc: AlgebraDocument, args,
 
 
 def cmd_transform(args) -> Result:
-    res = _passage(args.name, _load(args), args, args.name)
+    res = _passage(args.name, load_algebra(args.file), args, args.name)
     return _construction_output(res, args, "built")
 
 
 def cmd_rota_baxter(args) -> Result:
     from .constructions import is_rota_baxter
 
-    doc = _load(args)
+    doc = load_algebra(args.file)
     operator = _required_map(doc, args, "the identity")
     weight = parse_rational(args.weight)
     rep = is_rota_baxter(operator, doc.algebra, args.op, weight)
@@ -401,7 +392,7 @@ THEOREM_NAMES = tuple(THEOREMS)
 
 
 def cmd_verify_theorem(args) -> Result:
-    ok, payload, reports = THEOREMS[args.name](_load(args), args)
+    ok, payload, reports = THEOREMS[args.name](load_algebra(args.file), args)
     lines = [*_report_lines(reports),
              f"theorem {args.name}: {'verified' if ok else 'refuted'}"]
     return (0 if ok else 1,

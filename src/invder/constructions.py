@@ -59,26 +59,12 @@ class ConstructionResult(Value):
         return data
 
 
-def _resolve_single(alg: Algebra, op_name: str | None) -> str:
-    if op_name is None:
-        if len(alg.ops) != 1:
-            raise InputError(
-                "algebra has several operations; select one explicitly")
-        return alg.ops[0][0]
-    alg.op(op_name)
-    return op_name
-
-
-def _kind_op_names(alg: Algebra, kind: str, op_name: str | None) -> list[str]:
-    """The operations a structure of this kind is made of."""
-    if kind == "dendriform":
-        if op_name is not None:
-            raise InputError(f'kind {kind!r} reads the ops "left" and "right" '
-                             "and takes no op name")
-        for name in ("left", "right"):
-            alg.op(name)
-        return ["left", "right"]
-    return [_resolve_single(alg, op_name)]
+def _kind_ops(alg: Algebra, kind: str,
+              op_name: str | None) -> dict[str, BilinearOp]:
+    """The operations a structure of this kind is made of, as
+    Algebra.select picks them."""
+    return alg.select(op_name,
+                      f"kind {kind!r}" if kind == "dendriform" else None)
 
 
 def _require_source(reports: list[CheckReport], what: str,
@@ -131,7 +117,7 @@ def twist(alg: Algebra, delta: LinearMap, kind: str | None = None,
     if kind is None:
         raise InputError("twist needs a structure kind, from the algebra "
                          "file or the kind argument")
-    names = _kind_op_names(alg, kind, op_name)
+    names = list(_kind_ops(alg, kind, op_name))
     verdict = is_invder(delta, alg, names) if force \
         else require_invder(delta, alg, names)
     return twist_by(alg, delta, kind, verdict, op_name)
@@ -152,9 +138,9 @@ def twist_by(alg: Algebra, delta: LinearMap, kind: str, verdict: InvDerVerdict,
 
 def _twisted(alg: Algebra, delta: LinearMap, kind: str,
              op_name: str | None) -> Algebra:
-    names = _kind_op_names(alg, kind, op_name)
+    ops = _kind_ops(alg, kind, op_name)
     return alg.with_ops(f"{alg.name}.twist",
-                        {n: alg.op(n).twist(delta) for n in names}, kind)
+                        {n: op.twist(delta) for n, op in ops.items()}, kind)
 
 
 class YauVerdict(Value):
@@ -210,13 +196,11 @@ def yau_iff_check(alg: Algebra, delta: LinearMap, kind: str | None = None,
     kind = kind or alg.kind_hint
     if kind is None:
         raise InputError("iff check needs a structure kind")
-    names = _kind_op_names(alg, kind, op_name)
-    verdict = require_invder(delta, alg, names)
+    verdict = require_invder(delta, alg, list(_kind_ops(alg, kind, op_name)))
     out = _twisted(alg, delta, kind, op_name)
     result = ConstructionResult(out, delta, tuple(
         kind_axioms(out, kind) + _leibniz_reports(out, delta, verdict)))
-    single = names[0] if len(names) == 1 else None
-    source_holds = all(r.holds for r in kind_axioms(alg, kind, single))
+    source_holds = all(r.holds for r in kind_axioms(alg, kind, op_name))
     return yau_from_twist(alg, kind, source_holds, verdict, result)
 
 
@@ -262,8 +246,7 @@ def commutator_lie(alg: Algebra, op_name: str | None = None,
     derivation of the bracket, and an accepted invertible derivation stays
     accepted, so the bracket verification extends accordingly.
     """
-    name = _resolve_single(alg, op_name)
-    star = alg.op(name)
+    [(name, star)] = alg.select(op_name).items()
     _require_source(kind_axioms(alg, "prelie", name), "pre-Lie", force=False)
     bracket = star - star.opposite()
     out = alg.with_ops(f"{alg.name}.lie", {"bracket": bracket}, "lie")
@@ -308,11 +291,11 @@ def rb_prelie_from_lie(alg: Algebra, r: LinearMap,
                        op_name: str | None = None,
                        delta: LinearMap | None = None) -> ConstructionResult:
     """Pre-Lie product x*y = [Rx, y] from a weight zero Rota-Baxter map."""
-    name = _resolve_single(alg, op_name)
+    [(name, bracket)] = alg.select(op_name).items()
     _require_source(kind_axioms(alg, "lie", name), "a Lie bracket", force=False)
     _require_rota_baxter(r, alg, name)
     verdict = _carried(alg, [name], delta, r)
-    star = alg.op(name).compose_left(r)
+    star = bracket.compose_left(r)
     out = alg.with_ops(f"{alg.name}.rb_prelie", {"star": star}, "prelie")
     reports = kind_axioms(out, "prelie")
     # consistency at the level the source theorem uses the product: the
@@ -328,7 +311,7 @@ def rb_prelie_from_assoc(alg: Algebra, r: LinearMap,
                          op_name: str | None = None,
                          delta: LinearMap | None = None) -> ConstructionResult:
     """Pre-Lie product x*y = (Rx) y - y (Rx) from an associative product."""
-    name = _resolve_single(alg, op_name)
+    [(name, mu)] = alg.select(op_name).items()
     _require_source(kind_axioms(alg, "associative", name), "associative",
                     force=False)
     _require_rota_baxter(r, alg, name)
@@ -336,7 +319,6 @@ def rb_prelie_from_assoc(alg: Algebra, r: LinearMap,
     if delta is not None:
         _require_source([run_axiom(alg, "invder_assoc", name, delta)],
                         "InvDer associative", force=False)
-    mu = alg.op(name)
     star = mu.compose_left(r) - mu.opposite().compose_left(r)
     out = alg.with_ops(f"{alg.name}.rb_prelie", {"star": star}, "prelie")
     return _result(out, "prelie", kind_axioms(out, "prelie"), delta, verdict,
@@ -352,10 +334,9 @@ def endo_lie_from_assoc(alg: Algebra, endo: LinearMap,
     (multiplicative and linear) and idempotent; under those hypotheses the
     bracket is Lie, and a commuting accepted map is carried across.
     """
-    name = _resolve_single(alg, op_name)
+    [(name, mu)] = alg.select(op_name).items()
     _require_source(kind_axioms(alg, "associative", name), "associative",
                     force=False)
-    mu = alg.op(name)
     if endo.dim != alg.dim:
         raise InputError("map dimension does not match algebra dimension")
     if endo.compose(endo) != endo:
@@ -378,9 +359,9 @@ def endo_lie_from_assoc(alg: Algebra, endo: LinearMap,
 
 def _zinbiel_source(alg: Algebra, op_name: str | None,
                     force: bool) -> tuple[str, BilinearOp]:
-    name = _resolve_single(alg, op_name)
+    [(name, dia)] = alg.select(op_name).items()
     _require_source(kind_axioms(alg, "zinbiel", name), "zinbiel", force)
-    return name, alg.op(name)
+    return name, dia
 
 
 def zinbiel_to_assoc(alg: Algebra, op_name: str | None = None,
@@ -409,7 +390,7 @@ def zinbiel_to_lie(alg: Algebra, op_name: str | None = None,
 
 
 def _dendriform_source(alg: Algebra, force: bool) -> tuple[BilinearOp, BilinearOp]:
-    left, right = alg.op("left"), alg.op("right")
+    left, right = _kind_ops(alg, "dendriform", None).values()
     _require_source(kind_axioms(alg, "dendriform"), "dendriform", force)
     return left, right
 

@@ -275,9 +275,6 @@ class Matrix(Value):
             out.append(acc / self.den)
         return Vector(tuple(out))
 
-    def is_zero(self) -> bool:
-        return not any(self.num)
-
     def _num_rows(self) -> list[list[int]]:
         w = self.cols
         return [list(self.num[i * w:(i + 1) * w]) for i in range(self.rows)]

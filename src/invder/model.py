@@ -372,7 +372,22 @@ class Algebra(Value):
     def op_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.ops)
 
+    def select(self, name: str | None = None,
+               pair_reader: str | None = None) -> dict[str, BilinearOp]:
+        """The operations a check, twist or passage reads, by name: the
+        one op picks, or for a reader of the dendriform pair, which
+        pair_reader names ("axiom 'x'"), "left" and "right", and never an
+        op name."""
+        if pair_reader is None:
+            op = self.op(name)
+            return dict(self.ops) if name is None else {name: op}
+        if name is not None:
+            raise InputError(f'{pair_reader} reads the ops "left" and '
+                             '"right" and takes no op name')
+        return {"left": self.op("left"), "right": self.op("right")}
+
     def op(self, name: str | None = None) -> BilinearOp:
+        """The operation named, looked up directly, else the only one."""
         if name is None:
             if len(self.ops) != 1:
                 raise InputError("operation name required: algebra has "
@@ -421,6 +436,17 @@ def _int(value, what: str) -> int:
     return value
 
 
+def skew_completion(table: dict) -> dict:
+    """The table, whose entries are lists of (index, coefficient) pairs,
+    with the entry of each pair (i, j) negated at (j, i) where it lists
+    no (j, i)."""
+    full = dict(table)
+    for (i, j), pairs in table.items():
+        if (j, i) not in table:
+            full[(j, i)] = [(k, -c) for k, c in pairs]
+    return full
+
+
 def _parse_table(dim: int, spec: dict) -> BilinearOp:
     if not isinstance(spec, dict) or not isinstance(spec.get("table"), list):
         raise InputError('operation spec must be an object with a "table" list')
@@ -440,18 +466,16 @@ def _parse_table(dim: int, spec: dict) -> BilinearOp:
         if skew and i == j and any(c for _, c in pairs):
             raise InputError(f"skew table lists a nonzero diagonal pair ({i}, {i})")
         table[(i, j)] = pairs
-    if skew:
-        for (i, j), pairs in list(table.items()):
-            if (j, i) not in table:
-                table[(j, i)] = [(k, -c) for k, c in pairs]
-    op = BilinearOp.from_dict(dim, table)
+    op = BilinearOp.from_dict(dim, skew_completion(table) if skew else table)
     if skew and not op.is_skew():
         raise InputError("skew table lists a pair both ways, not negated")
     return op
 
 
 def algebra_from_dict(data: dict) -> AlgebraDocument:
-    """Parse the JSON object form of an algebra file."""
+    """Parse the JSON object form of an algebra file, held to the
+    max_dimension cap as soon as its dimension is read, so that no table
+    or map of an oversized file is parsed."""
     if not isinstance(data, dict):
         raise InputError("algebra file must be a JSON object")
     try:
@@ -461,6 +485,10 @@ def algebra_from_dict(data: dict) -> AlgebraDocument:
         op_specs = data["operations"]
     except KeyError as exc:
         raise InputError("algebra file needs name, dimension, basis, operations") from exc
+    cap = max_dimension()
+    if dim > cap:
+        raise InputError(f"algebra dimension {dim} exceeds the dimension cap "
+                         f"{cap} (INVDER_MAX_DIM)")
     if not isinstance(name, str):
         raise InputError(f"name must be a string, got {name!r}")
     if not isinstance(basis, list):
@@ -506,7 +534,9 @@ def algebra_to_dict(doc: AlgebraDocument) -> dict:
 
 
 def max_dimension() -> int:
-    """The INVDER_MAX_DIM dimension cap on input files and searches."""
+    """The INVDER_MAX_DIM dimension cap, 6 by default: algebra_from_dict
+    refuses any algebra file above it, and SearchConfig.validate any
+    search beyond it or beyond 6."""
     raw = os.environ.get("INVDER_MAX_DIM", "6")
     try:
         cap = int(raw)
@@ -518,6 +548,8 @@ def max_dimension() -> int:
 
 
 def load_algebra(path: str) -> AlgebraDocument:
+    """The algebra file at path, through algebra_from_dict; InputError
+    for a file that cannot be read or is not JSON."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

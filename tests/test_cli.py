@@ -222,6 +222,41 @@ def test_dimension_cap_applies_to_every_file_command(capsys, algebra_dir,
     assert err.startswith("error: algebra dimension 4 exceeds")
 
 
+def test_dimension_cap_comes_before_any_parse_error(capsys, tmp_path,
+                                                   monkeypatch):
+    # the map is malformed too, but the file is refused for its dimension
+    monkeypatch.setenv("INVDER_MAX_DIM", "6")
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "name": "big", "dimension": 7, "basis": [f"e{t}" for t in range(7)],
+        "operations": {"m": {"table": []}}, "maps": {"bad": [["1"]]}}))
+    assert run(capsys, "check", str(big)) == (
+        2, "", "error: algebra dimension 7 exceeds the dimension cap 6 "
+               "(INVDER_MAX_DIM)\n")
+
+
+TWO_OPS = "error: operation name required: algebra has left, right\n"
+NO_LEFT = "error: no operation named 'left' in algebra 'heisenberg3'\n"
+
+
+# Algebra.select is the one rule for the operations a command reads, so
+# a check and a construction refuse the same file in the same words
+@pytest.mark.parametrize("argv, line", [
+    (("transform", "commutator-lie", "d2"), TWO_OPS),
+    (("check", "d2", "--axiom", "jacobi"), TWO_OPS),
+    (("check", "heisenberg3", "--axiom", "dendriform_1"), NO_LEFT),
+    (("verify-theorem", "thm-4-dendriform", "heisenberg3", "--map",
+      "delta_w"), NO_LEFT),
+    (("transform", "dendriform-to-assoc", "heisenberg3"), NO_LEFT),
+], ids=["passage-two-ops", "check-two-ops", "check-no-pair",
+        "statement-no-pair", "passage-no-pair"])
+@pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+def test_one_fault_one_refusal(capsys, algebra_dir, argv, line, fmt):
+    files = {e: path(algebra_dir, e) for e in ("d2", "heisenberg3")}
+    assert run(capsys, *(files.get(a, a) for a in argv), *fmt) == (
+        2, "", line)
+
+
 @pytest.mark.parametrize("argv", [
     ("twist", "heisenberg3", "--map", "delta_w", "-o", ""),
     ("transform", "commutator-lie", "a3", "-o", ""),
@@ -336,6 +371,11 @@ class TestInvderSearch:
         assert code == 1
         assert "generic determinant vanishes" in out
 
+    def test_not_found_within_the_samples(self, capsys, algebra_dir):
+        assert run(capsys, "invder-search",
+                   path(algebra_dir, "filiform_n4")) == (
+            1, "not found within 400 samples (derivation space dim 7)\n", "")
+
     def test_json(self, capsys, algebra_dir):
         code, out, _ = run(capsys, "invder-search", path(algebra_dir, "so3"),
                            "--json")
@@ -392,6 +432,20 @@ class TestTwist:
 
 DENDRIFORM_OP = ("error: kind 'dendriform' reads the ops \"left\" and "
                  "\"right\" and takes no op name\n")
+
+
+# each passage of one operation on the "right" half of d2: its exit code
+# and its first line
+RIGHT_OF_D2 = {
+    "commutator-lie": (0, "built d2.lie (kind lie)"),
+    "rb-prelie-from-lie": (2, "error: source is not a Lie bracket: "
+                              "skew_symmetry fails at (0, 0)"),
+    "rb-prelie-from-assoc": (2, "error: operator fails the weight zero "
+                                "identity at (0, 0)"),
+    "endo-lie-from-assoc": (2, "error: operator is not idempotent"),
+    "zinbiel-to-assoc": (0, "built d2.assoc (kind associative)"),
+    "zinbiel-to-lie": (0, "built d2.lie (kind lie)"),
+}
 
 
 class TestTransform:
@@ -491,6 +545,21 @@ class TestTransform:
         code, out, err = run(capsys, *argv[:2], path(algebra_dir, entry_id),
                              *argv[2:])
         assert (code, out, err) == (2, "", line)
+
+    # on the dendriform pair d2 a passage of one operation reads the one
+    # --op names, and without --op it is refused
+    @pytest.mark.parametrize("op", [(), ("--op", "right")],
+                             ids=["no-op", "op-right"])
+    @pytest.mark.parametrize("name", RIGHT_OF_D2)
+    def test_single_op_passages_on_a_pair(self, capsys, algebra_dir, name,
+                                          op):
+        operator = ("--operator", "diag12") if "operator" in PASSAGES[name] \
+            else ()
+        code, out, err = run(capsys, "transform", name,
+                             path(algebra_dir, "d2"), *operator, *op)
+        assert not (out and err)
+        assert (code, (out or err).splitlines()[0]) == (
+            RIGHT_OF_D2[name] if op else (2, TWO_OPS.strip()))
 
     @pytest.mark.parametrize("name", PASSAGES)
     def test_every_passage_refuses_what_it_does_not_read(self, capsys,

@@ -138,6 +138,12 @@ class TestYau:
             "delta_invder_source": True, "delta_invder_twisted": True,
             "forward": True, "backward": True}
 
+    def test_missing_kind_is_an_input_error(self):
+        alg = Algebra.build("anon", ["x", "y"],
+                            {"m": entry("solvable2").algebra.op()})
+        with pytest.raises(InputError, match="needs a structure kind"):
+            yau_iff_check(alg, LinearMap.identity(2))
+
     def test_rejected_map_cannot_run_the_equivalence(self):
         e = entry("heisenberg3")
         with pytest.raises(NotInvDerError):

@@ -6,7 +6,7 @@ import pytest
 
 from invder import (Algebra, AlgebraDocument, BilinearOp, LinearMap,
                     algebra_from_dict, algebra_to_dict, catalog, entry,
-                    load_algebra, save_algebra)
+                    load_algebra, model, save_algebra)
 from invder.errors import InputError, SingularMatrixError
 from invder.linalg import Matrix, Vector
 
@@ -160,6 +160,20 @@ class TestAlgebra:
             d2.op()
         assert d2.op("right").basis_product(0, 0) == {1: Q(1)}
 
+    def test_select_is_the_one_operation_rule(self):
+        so3, d2 = entry("so3").algebra, entry("d2").algebra
+        assert so3.select() == {"bracket": so3.op()}
+        assert d2.select("right") == {"right": d2.op("right")}
+        assert d2.select(None, "kind 'dendriform'") == dict(d2.ops)
+        with pytest.raises(InputError, match="^operation name required: "
+                           "algebra has left, right$"):
+            d2.select()
+        # the refusal of an op name speaks of the reader of the pair
+        with pytest.raises(InputError, match="^axiom 'x' reads the ops"):
+            d2.select("left", "axiom 'x'")
+        with pytest.raises(InputError, match="^no operation named 'left'"):
+            so3.select(None, "kind 'dendriform'")
+
     def test_unknown_op_rejected(self):
         alg = entry("so3").algebra
         with pytest.raises(InputError):
@@ -243,6 +257,22 @@ class TestSerialization:
         }
         mutation(data)
         with pytest.raises(InputError):
+            algebra_from_dict(data)
+
+    def test_no_table_or_map_is_parsed_above_the_dimension_cap(
+            self, monkeypatch):
+        def parsed(*args):
+            raise AssertionError("parsed a table or map above the cap")
+
+        monkeypatch.setenv("INVDER_MAX_DIM", "6")
+        monkeypatch.setattr(model, "_parse_table", parsed)
+        monkeypatch.setattr(LinearMap, "from_column_strings", parsed)
+        data = {"name": "big", "dimension": 7,
+                "basis": [f"e{t}" for t in range(7)],
+                "operations": {"m": {"table": [{"i": 9}]}},
+                "maps": {"f": [["1"]]}}
+        with pytest.raises(InputError, match="^algebra dimension 7 exceeds "
+                           r"the dimension cap 6 \(INVDER_MAX_DIM\)$"):
             algebra_from_dict(data)
 
     def test_unreadable_and_invalid_files(self, tmp_path):
