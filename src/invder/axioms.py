@@ -42,7 +42,8 @@ from operator import mul
 
 from .errors import InputError, InvderError
 from .linalg import Value, Vector, _set
-from .model import KINDS, Algebra, BilinearOp, LinearMap, sparse_to_vector
+from .model import (KINDS, SINGLE_KINDS, Algebra, BilinearOp, LinearMap,
+                    sparse_to_vector)
 
 VARIABLES = ("x", "y", "z")
 
@@ -694,6 +695,6 @@ def invder_identity_axioms(alg: Algebra, kind: str, delta: LinearMap,
 
 def kinds_satisfied(alg: Algebra, op_name: str | None = None) -> tuple[str, ...]:
     """Single-operation kinds whose axioms actually hold for the table."""
-    return tuple(kind for kind in KINDS if kind != "dendriform"
-                 and all(run_axiom(alg, a, op_name).holds
-                         for a in BUNDLES[kind]))
+    return tuple(kind for kind in SINGLE_KINDS
+                 if all(run_axiom(alg, a, op_name).holds
+                        for a in BUNDLES[kind]))

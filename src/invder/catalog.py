@@ -6,6 +6,11 @@ kinds, verdict flags, search outcome) that verify_entry re-derives from
 scratch with the engine.  The suite and the counterexample search both
 draw their randomness from seeds threaded through string-keyed Random
 instances, so identical inputs always reproduce identical reports.
+
+Each entry's id is its algebra's name.  Every Lie table, of the catalog
+and of the hunt's families, is built by _lie on e1...en from its pairs
+i < j alone; these and the other skew tables are completed by
+skew_completion, as the loader completes a table flagged skew.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from collections.abc import Callable
 from .axioms import (identity_report, invder_identity_axioms, kind_axioms,
                      kinds_satisfied, run_axiom)
 from .constructions import is_rota_baxter, twist_by, yau_from_twist
-from .derivations import derivation_space, invder_search, is_invder
+from .derivations import (VANISHING_DET, derivation_space, invder_search,
+                          is_invder)
 from .errors import InputError, InvderError
 from .linalg import Value, _set
-from .model import (FAMILIES, Algebra, AlgebraDocument, BilinearOp, LinearMap,
-                    max_dimension, skew_completion)
+from .model import (FAMILIES, SINGLE_KINDS, Algebra, AlgebraDocument,
+                    BilinearOp, LinearMap, max_dimension, skew_completion)
 from .rational import Q
 
 SEARCH_SEED = 0
@@ -49,8 +55,16 @@ def _op(dim: int, table: dict) -> BilinearOp:
     return BilinearOp.from_dict(dim, table)
 
 
-def _labels(dim: int) -> list[str]:
-    return [f"e{t + 1}" for t in range(dim)]
+def _skew(dim: int, pairs: dict) -> BilinearOp:
+    """The skew operation whose pairs i < j are listed, the others
+    completed as the loader completes a skew table."""
+    return _op(dim, skew_completion(pairs))
+
+
+def _lie(name: str, dim: int, pairs: dict) -> Algebra:
+    """The Lie algebra on e1...en whose bracket lists the pairs i < j."""
+    return Algebra.build(name, [f"e{t + 1}" for t in range(dim)],
+                         {"bracket": _skew(dim, pairs)}, "lie")
 
 
 def _invertible_family(dim: int):
@@ -80,52 +94,45 @@ def _block_family(rng: random.Random) -> LinearMap:
     return LinearMap.from_columns([[a, c, x], [b, d, y], [0, 0, a + d]])
 
 
-ALL_SINGLE_KINDS = ["lie", "prelie", "associative", "zinbiel"]
-
-
 def _entries() -> list[CatalogEntry]:
     out: list[CatalogEntry] = []
 
-    for dim in range(1, 5):
-        doc = AlgebraDocument.build(Algebra.build(
-            f"abelian_{dim}", _labels(dim), {"bracket": _op(dim, {})}, "lie"))
-        out.append(CatalogEntry(
-            f"abelian_{dim}", doc,
-            {"derivation_dim": dim * dim, "kinds": ALL_SINGLE_KINDS,
-             "search": {"found": True, "certificate": None}},
-            _invertible_family(dim)))
+    def add(alg: Algebra, maps: dict | None, expected: dict,
+            found: bool, certificate: str | None = None,
+            family: Callable[[random.Random], LinearMap] | None = None
+            ) -> None:
+        expected["search"] = {"found": found, "certificate": certificate}
+        out.append(CatalogEntry(alg.name, AlgebraDocument.build(alg, maps),
+                                expected, family))
 
-    so3 = Algebra.build("so3", _labels(3), {"bracket": _op(3, {
-        (0, 1): {2: 1}, (1, 0): {2: -1},
-        (1, 2): {0: 1}, (2, 1): {0: -1},
-        (2, 0): {1: 1}, (0, 2): {1: -1}})}, "lie")
-    out.append(CatalogEntry(
-        "so3",
-        AlgebraDocument.build(so3, {
-            "ad_e1": LinearMap.from_columns([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
-            "ad_e2": LinearMap.from_columns([[0, 0, -1], [0, 0, 0], [1, 0, 0]]),
-            "ad_e3": LinearMap.from_columns([[0, 1, 0], [-1, 0, 0], [0, 0, 0]]),
-        }),
+    def delta() -> LinearMap:
+        # the accepted map of the dim 3 entries whose product e1 e2 is e3,
+        # one object per entry, as a map caches its inverse
+        return LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]])
+
+    for dim in range(1, 5):
+        add(_lie(f"abelian_{dim}", dim, {}), None,
+            {"derivation_dim": dim * dim, "kinds": SINGLE_KINDS}, True,
+            family=_invertible_family(dim))
+
+    add(_lie("so3", 3, {(0, 1): [(2, 1)], (1, 2): [(0, 1)], (0, 2): [(1, -1)]}),
+        {"ad_e1": LinearMap.from_columns([[0, 0, 0], [0, 0, 1], [0, -1, 0]]),
+         "ad_e2": LinearMap.from_columns([[0, 0, -1], [0, 0, 0], [1, 0, 0]]),
+         "ad_e3": LinearMap.from_columns([[0, 1, 0], [-1, 0, 0], [0, 0, 0]])},
         {"derivation_dim": 3, "kinds": ["lie"],
          "maps": {"ad_e1": {"is_derivation": True, "is_invertible": False,
                             "accepted": False},
                   "ad_e2": {"is_derivation": True, "is_invertible": False},
-                  "ad_e3": {"is_derivation": True, "is_invertible": False}},
-         "search": {"found": False,
-                    "certificate": "generic determinant vanishes"}}))
+                  "ad_e3": {"is_derivation": True, "is_invertible": False}}},
+        False, VANISHING_DET)
 
-    heis = Algebra.build("heisenberg3", _labels(3), {"bracket": _op(3, {
-        (0, 1): {2: 1}, (1, 0): {2: -1}})}, "lie")
-    out.append(CatalogEntry(
-        "heisenberg3",
-        AlgebraDocument.build(heis, {
-            "delta_w": LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]]),
-            "diag112": LinearMap.diagonal([1, 1, 2]),
-            "ad_e1": LinearMap.from_columns([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
-            "proj_center": LinearMap.diagonal([0, 0, 1]),
-            "zero": LinearMap.zero(3),
-        }),
-        {"derivation_dim": 6, "kinds": ALL_SINGLE_KINDS,
+    add(_lie("heisenberg3", 3, {(0, 1): [(2, 1)]}),
+        {"delta_w": delta(),
+         "diag112": LinearMap.diagonal([1, 1, 2]),
+         "ad_e1": LinearMap.from_columns([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+         "proj_center": LinearMap.diagonal([0, 0, 1]),
+         "zero": LinearMap.zero(3)},
+        {"derivation_dim": 6, "kinds": SINGLE_KINDS,
          "maps": {"delta_w": {"accepted": True, "square_condition": True},
                   "diag112": {"is_derivation": True, "is_invertible": True,
                               "inverse_is_derivation": False,
@@ -133,130 +140,92 @@ def _entries() -> list[CatalogEntry]:
                   "ad_e1": {"is_derivation": True, "is_invertible": False},
                   "proj_center": {"is_derivation": False},
                   "zero": {"is_derivation": True, "is_invertible": False}},
-         "rota_baxter": {"proj_center": True, "zero": True},
-         "search": {"found": True, "certificate": None}},
-        _block_family))
+         "rota_baxter": {"proj_center": True, "zero": True}},
+        True, family=_block_family)
 
-    filiform = Algebra.build("filiform_n4", _labels(4), {"bracket": _op(4, {
-        (0, 1): {2: 1}, (1, 0): {2: -1},
-        (0, 2): {3: 1}, (2, 0): {3: -1}})}, "lie")
-    out.append(CatalogEntry(
-        "filiform_n4",
-        AlgebraDocument.build(filiform, {
-            "grading": LinearMap.diagonal([1, 1, 2, 3])}),
+    add(_lie("filiform_n4", 4, {(0, 1): [(2, 1)], (0, 2): [(3, 1)]}),
+        {"grading": LinearMap.diagonal([1, 1, 2, 3])},
         {"derivation_dim": 7, "kinds": ["lie"],
          "maps": {"grading": {"is_derivation": True, "is_invertible": True,
                               "inverse_is_derivation": False,
-                              "square_condition": False, "accepted": False}},
-         "search": {"found": False, "certificate": None}}))
+                              "square_condition": False, "accepted": False}}},
+        False)
 
-    solvable2 = Algebra.build("solvable2", _labels(2), {"bracket": _op(2, {
-        (0, 1): {1: 1}, (1, 0): {1: -1}})}, "lie")
-    out.append(CatalogEntry(
-        "solvable2", AlgebraDocument.build(solvable2),
-        {"derivation_dim": 2, "kinds": ["lie"],
-         "search": {"found": False,
-                    "certificate": "generic determinant vanishes"}}))
+    add(_lie("solvable2", 2, {(0, 1): [(1, 1)]}), None,
+        {"derivation_dim": 2, "kinds": ["lie"]}, False, VANISHING_DET)
 
-    a3 = Algebra.build("a3", ["x", "y", "z"], {"star": _op(3, {
-        (0, 1): {2: 1}, (1, 0): {2: -1}})}, "prelie")
-    out.append(CatalogEntry(
-        "a3",
-        AlgebraDocument.build(a3, {
-            "delta_A": LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]]),
-            "identity": LinearMap.identity(3),
-            "proj_x": LinearMap.diagonal([1, 0, 0]),
-            "proj_z": LinearMap.diagonal([0, 0, 1]),
-        }),
-        {"derivation_dim": 6, "kinds": ALL_SINGLE_KINDS,
+    add(Algebra.build("a3", ["x", "y", "z"],
+                      {"star": _skew(3, {(0, 1): [(2, 1)]})}, "prelie"),
+        {"delta_A": delta(),
+         "identity": LinearMap.identity(3),
+         "proj_x": LinearMap.diagonal([1, 0, 0]),
+         "proj_z": LinearMap.diagonal([0, 0, 1])},
+        {"derivation_dim": 6, "kinds": SINGLE_KINDS,
          "maps": {"delta_A": {"accepted": True},
                   "identity": {"is_derivation": False},
                   "proj_x": {"is_derivation": False},
                   "proj_z": {"is_derivation": False}},
-         "rota_baxter": {"proj_z": True},
-         "search": {"found": True, "certificate": None}},
-        _block_family))
+         "rota_baxter": {"proj_z": True}},
+        True, family=_block_family)
 
-    m2 = Algebra.build("m2", ["E11", "E12", "E21", "E22"],
-                       {"product": _op(4, {
-                           (0, 0): {0: 1}, (0, 1): {1: 1},
-                           (1, 2): {0: 1}, (1, 3): {1: 1},
-                           (2, 0): {2: 1}, (2, 1): {3: 1},
-                           (3, 2): {2: 1}, (3, 3): {3: 1}})}, "associative")
-    out.append(CatalogEntry(
-        "m2",
-        AlgebraDocument.build(m2, {
-            "ad_E12": LinearMap.from_columns(
-                [[0, -1, 0, 0], [0, 0, 0, 0], [1, 0, 0, -1], [0, 1, 0, 0]])}),
+    add(Algebra.build("m2", ["E11", "E12", "E21", "E22"],
+                      {"product": _op(4, {
+                          (0, 0): {0: 1}, (0, 1): {1: 1},
+                          (1, 2): {0: 1}, (1, 3): {1: 1},
+                          (2, 0): {2: 1}, (2, 1): {3: 1},
+                          (3, 2): {2: 1}, (3, 3): {3: 1}})}, "associative"),
+        {"ad_E12": LinearMap.from_columns(
+            [[0, -1, 0, 0], [0, 0, 0, 0], [1, 0, 0, -1], [0, 1, 0, 0]])},
         {"derivation_dim": 3, "kinds": ["prelie", "associative"],
          "maps": {"ad_E12": {"is_derivation": True, "is_invertible": False,
-                             "accepted": False}},
-         "search": {"found": False,
-                    "certificate": "generic determinant vanishes"}}))
+                             "accepted": False}}},
+        False, VANISHING_DET)
 
-    z3 = Algebra.build("z3", ["u", "v", "w"], {"diamond": _op(3, {
-        (0, 0): {1: 1}, (0, 1): {2: 1}, (1, 0): {2: Q(1, 2)}})}, "zinbiel")
-    out.append(CatalogEntry(
-        "z3",
-        AlgebraDocument.build(z3, {"grading123": LinearMap.diagonal([1, 2, 3])}),
+    add(Algebra.build("z3", ["u", "v", "w"], {"diamond": _op(3, {
+            (0, 0): {1: 1}, (0, 1): {2: 1}, (1, 0): {2: Q(1, 2)}})},
+                      "zinbiel"),
+        {"grading123": LinearMap.diagonal([1, 2, 3])},
         {"derivation_dim": 3, "kinds": ["prelie", "zinbiel"],
          "maps": {"grading123": {"is_derivation": True, "is_invertible": True,
                                  "inverse_is_derivation": False,
                                  "square_condition": False,
-                                 "accepted": False}},
-         "search": {"found": False, "certificate": None}}))
+                                 "accepted": False}}},
+        False)
 
-    d2 = Algebra.build("d2", ["u", "v"], {
-        "left": _op(2, {}), "right": _op(2, {(0, 0): {1: 1}})}, "dendriform")
-    out.append(CatalogEntry(
-        "d2",
-        AlgebraDocument.build(d2, {"diag12": LinearMap.diagonal([1, 2])}),
+    add(Algebra.build("d2", ["u", "v"], {
+            "left": _op(2, {}), "right": _op(2, {(0, 0): {1: 1}})},
+                      "dendriform"),
+        {"diag12": LinearMap.diagonal([1, 2])},
         {"derivation_dim": 2, "dendriform": True,
          "maps": {"diag12": {"is_derivation": True, "is_invertible": True,
                              "inverse_is_derivation": False,
-                             "square_condition": False, "accepted": False}},
-         "search": {"found": False, "certificate": None}}))
+                             "square_condition": False, "accepted": False}}},
+        False)
 
-    for kind, op_name in (("prelie", "star"), ("associative", "product"),
-                          ("zinbiel", "diamond")):
-        doc = AlgebraDocument.build(Algebra.build(
-            f"zero_{kind}", ["u", "v"], {op_name: _op(2, {})}, kind))
-        out.append(CatalogEntry(
-            f"zero_{kind}", doc,
-            {"derivation_dim": 4, "kinds": ALL_SINGLE_KINDS,
-             "search": {"found": True, "certificate": None}},
-            _invertible_family(2)))
-    out.append(CatalogEntry(
-        "zero_dendriform",
-        AlgebraDocument.build(Algebra.build(
-            "zero_dendriform", ["u", "v"],
-            {"left": _op(2, {}), "right": _op(2, {})}, "dendriform")),
-        {"derivation_dim": 4, "dendriform": True,
-         "search": {"found": True, "certificate": None}},
-        _invertible_family(2)))
+    for kind, op_names in (("prelie", ["star"]), ("associative", ["product"]),
+                           ("zinbiel", ["diamond"]),
+                           ("dendriform", ["left", "right"])):
+        facts = ({"dendriform": True} if kind == "dendriform"
+                 else {"kinds": SINGLE_KINDS})
+        add(Algebra.build(f"zero_{kind}", ["u", "v"],
+                          {name: _op(2, {}) for name in op_names}, kind),
+            None, {"derivation_dim": 4, **facts}, True,
+            family=_invertible_family(2))
 
-    a3z = Algebra.build("a3_zinbiel", ["u", "v", "w"], {"diamond": _op(3, {
-        (0, 1): {2: 1}, (1, 0): {2: -1}})}, "zinbiel")
-    out.append(CatalogEntry(
-        "a3_zinbiel",
-        AlgebraDocument.build(a3z, {
-            "delta_A": LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]])}),
-        {"derivation_dim": 6, "kinds": ALL_SINGLE_KINDS,
-         "maps": {"delta_A": {"accepted": True}},
-         "search": {"found": True, "certificate": None}},
-        _block_family))
+    add(Algebra.build("a3_zinbiel", ["u", "v", "w"],
+                      {"diamond": _skew(3, {(0, 1): [(2, 1)]})}, "zinbiel"),
+        {"delta_A": delta()},
+        {"derivation_dim": 6, "kinds": SINGLE_KINDS,
+         "maps": {"delta_A": {"accepted": True}}},
+        True, family=_block_family)
 
-    a3d = Algebra.build("a3_dendriform", ["u", "v", "w"], {
-        "left": _op(3, {}),
-        "right": _op(3, {(0, 1): {2: 1}, (1, 0): {2: -1}})}, "dendriform")
-    out.append(CatalogEntry(
-        "a3_dendriform",
-        AlgebraDocument.build(a3d, {
-            "delta_A": LinearMap.from_columns([[1, 3, 0], [-1, 1, 0], [0, 0, 2]])}),
+    add(Algebra.build("a3_dendriform", ["u", "v", "w"], {
+            "left": _op(3, {}), "right": _skew(3, {(0, 1): [(2, 1)]})},
+                      "dendriform"),
+        {"delta_A": delta()},
         {"derivation_dim": 6, "dendriform": True,
-         "maps": {"delta_A": {"accepted": True}},
-         "search": {"found": True, "certificate": None}},
-        _block_family))
+         "maps": {"delta_A": {"accepted": True}}},
+        True, family=_block_family)
 
     return out
 
@@ -511,57 +480,46 @@ class SearchReport(Value):
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+# each deterministic family of the hunt: its smallest dimension and its
+# bracket's pairs i < j in dimension d
+_FAMILY_PAIRS = {
+    "abelian": (1, lambda d: {}),
+    "heisenberg_like": (3, lambda d: {(2 * t, 2 * t + 1): [(d - 1, 1)]
+                                      for t in range((d - 1) // 2)}),
+    "filiform": (3, lambda d: {(0, i): [(i + 1, 1)] for i in range(1, d - 1)}),
+    "solvable": (2, lambda d: {(0, i): [(i, 1)] for i in range(1, d)}),
+}
+
+
 def _family_algebras(config: SearchConfig) -> tuple[list[Algebra], int]:
+    if config.family in _FAMILY_PAIRS:
+        low, pairs = _FAMILY_PAIRS[config.family]
+        return [_lie(f"{config.family}_{d}", d, pairs(d))
+                for d in range(low, config.max_dim + 1)], 0
     algebras: list[Algebra] = []
     rejected = 0
-    if config.family == "abelian":
-        for d in range(1, config.max_dim + 1):
-            algebras.append(Algebra.build(f"abelian_{d}", _labels(d),
-                                          {"bracket": _op(d, {})}, "lie"))
-    elif config.family == "heisenberg_like":
-        for d in range(3, config.max_dim + 1):
-            pairs = {(2 * t, 2 * t + 1): [(d - 1, 1)]
-                     for t in range((d - 1) // 2)}
-            algebras.append(Algebra.build(
-                f"heisenberg_like_{d}", _labels(d),
-                {"bracket": _op(d, skew_completion(pairs))}, "lie"))
-    elif config.family == "filiform":
-        for d in range(3, config.max_dim + 1):
-            pairs = {(0, i): [(i + 1, 1)] for i in range(1, d - 1)}
-            algebras.append(Algebra.build(
-                f"filiform_{d}", _labels(d),
-                {"bracket": _op(d, skew_completion(pairs))}, "lie"))
-    elif config.family == "solvable":
-        for d in range(2, config.max_dim + 1):
-            pairs = {(0, i): [(i, 1)] for i in range(1, d)}
-            algebras.append(Algebra.build(
-                f"solvable_{d}", _labels(d),
-                {"bracket": _op(d, skew_completion(pairs))}, "lie"))
-    else:
-        for d in range(3, config.max_dim + 1):
-            rng = random.Random(f"{config.seed}:tables:{d}")
-            kept = 0
-            for _ in range(40 * config.tables_per_dim):
-                if kept >= config.tables_per_dim:
-                    break
-                # sparse strictly triangular tables, else Jacobi rejects
-                # nearly everything beyond dimension four
-                pairs = {}
-                for i in range(d):
-                    for j in range(i + 1, d):
-                        entry_ = [(k, c) for k in range(j + 1, d)
-                                  if (c := rng.choice(
-                                      (0, 0, 0, 0, 0, 1, -1, 2, -2)))]
-                        if entry_:
-                            pairs[(i, j)] = entry_
-                cand = Algebra.build(
-                    f"random_{d}_{kept}", _labels(d),
-                    {"bracket": _op(d, skew_completion(pairs))}, "lie")
-                if run_axiom(cand, "jacobi").holds:
-                    algebras.append(cand)
-                    kept += 1
-                else:
-                    rejected += 1
+    for d in range(3, config.max_dim + 1):
+        rng = random.Random(f"{config.seed}:tables:{d}")
+        kept = 0
+        for _ in range(40 * config.tables_per_dim):
+            if kept >= config.tables_per_dim:
+                break
+            # sparse strictly triangular tables, else Jacobi rejects
+            # nearly everything beyond dimension four
+            pairs = {}
+            for i in range(d):
+                for j in range(i + 1, d):
+                    entry_ = [(k, c) for k in range(j + 1, d)
+                              if (c := rng.choice(
+                                  (0, 0, 0, 0, 0, 1, -1, 2, -2)))]
+                    if entry_:
+                        pairs[(i, j)] = entry_
+            cand = _lie(f"random_{d}_{kept}", d, pairs)
+            if run_axiom(cand, "jacobi").holds:
+                algebras.append(cand)
+                kept += 1
+            else:
+                rejected += 1
     return algebras, rejected
 
 

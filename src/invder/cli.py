@@ -444,6 +444,9 @@ def cmd_search_counterexample(args) -> Result:
 def cmd_catalog(args) -> Result:
     from .catalog import catalog, entry, verify_entry
 
+    if args.dump is not None and args.verify:
+        raise InputError("--dump writes the entries and verifies nothing; "
+                         "run --verify on its own")
     entries = list(catalog()) if args.entry is None else [entry(args.entry)]
     if args.dump is not None:
         os.makedirs(args.dump, exist_ok=True)

@@ -49,6 +49,8 @@ from .linalg import Matrix, Value, Vector, _set
 from .rational import ZERO, Q, format_rational, lean, parse_rational
 
 KINDS = ("lie", "prelie", "associative", "zinbiel", "dendriform")
+# the kinds of one operation: all but the dendriform pair
+SINGLE_KINDS = tuple(k for k in KINDS if k != "dendriform")
 
 # the Lie families the counterexample search generates (catalog.py); they
 # live here so that the command line parser can offer them without

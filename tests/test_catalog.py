@@ -1,5 +1,7 @@
 """Built-in catalog, randomized property suite, counterexample search."""
+import hashlib
 import importlib
+import json
 import random
 from fractions import Fraction as Q
 from itertools import combinations
@@ -17,7 +19,7 @@ from invder.axioms import CheckReport
 from invder.catalog import _family_algebras
 from invder.derivations import DerivationSpace
 from invder.linalg import Matrix
-from invder.model import BilinearOp
+from invder.model import AlgebraDocument, BilinearOp, algebra_to_dict
 from invder.errors import InputError, InvderError
 
 # the module; the package exports its function catalog under that name
@@ -62,6 +64,46 @@ class TestEntries:
                 d = e.invder_family(rng)
                 assert is_invder(d, e.algebra,
                                  e.algebra.op_names()).accepted, e.id
+
+
+def _sha256(items) -> str:
+    h = hashlib.sha256()
+    for item in items:
+        h.update(json.dumps(item, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_built_in_examples_are_pinned():
+    """Every entry's document, facts and whether it has a family, and every
+    table the hunt builds for each family, are pinned byte for byte."""
+    assert _sha256([algebra_to_dict(e.document), e.expected,
+                    e.invder_family is not None] for e in catalog()) == \
+        "984e49109be4334c5541fba093b2081573b6db055b84891baf3ff1f680d3dcfb"
+    tables = []
+    for family in FAMILIES:
+        algebras, rejected = _family_algebras(
+            SearchConfig(family, max_dim=6, seed=7, tables_per_dim=10))
+        tables.append([family, rejected, [
+            algebra_to_dict(AlgebraDocument.build(a)) for a in algebras]])
+    assert _sha256(tables) == \
+        "30e3a419c00af344e66271255cc930806f079bbfa76b3be0a17adb643eb70a32"
+    assert FAMILIES == ("abelian", "heisenberg_like", "filiform", "solvable",
+                        "random_nilpotent_tables")
+
+
+def test_each_entry_owns_its_facts():
+    """The catalog lives for the whole process, so no two entries may share
+    a mutable fact; and one table row builds each deterministic family."""
+    def mutables(value):
+        if isinstance(value, (dict, list)):
+            yield value
+            for v in value.values() if isinstance(value, dict) else value:
+                yield from mutables(v)
+
+    seen = [id(m) for e in catalog() for m in mutables(e.expected)]
+    assert len(seen) == len(set(seen))
+    assert FAMILIES == (*catalog_module._FAMILY_PAIRS,
+                        "random_nilpotent_tables")
 
 
 class TestPropertySuite:

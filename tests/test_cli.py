@@ -804,6 +804,17 @@ class TestCatalog:
         code, _, err = run(capsys, "catalog", "--entry", "missing")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    def test_dump_with_verify_is_refused(self, capsys, tmp_path, fmt):
+        # a dump verifies nothing, so the pair must not exit 0
+        target = tmp_path / "out"
+        code, out, err = run(capsys, "catalog", "--dump", str(target),
+                             "--verify", *fmt)
+        assert (code, out) == (2, "")
+        assert err == ("error: --dump writes the entries and verifies "
+                       "nothing; run --verify on its own\n")
+        assert not target.exists()
+
 
 class TestSubprocess:
     def test_module_entry_point(self, algebra_dir):
